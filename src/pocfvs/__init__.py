@@ -8,13 +8,12 @@ traces, and an exhaustive enumeration harness.
 """
 
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
-from .graph import Graph, disjoint_union, is_feedback_vertex_set
+from .graph import Graph, disjoint_union
 from .generators import (
     FamilySpec,
     butterfly,
     claw,
     complete_bipartite,
-    copies,
     cycle,
     from_spec,
     gprime,

@@ -103,7 +103,10 @@ def _cmd_covers(args) -> int:
 def _cmd_table(args) -> int:
     h = load_graph(args.pattern)
     lo, _, hi = args.range.partition("..")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise InvalidInputError(f"--range must look like 3..12, got {args.range!r}") from None
     profile = structure_profile(h)
     print(f"profile: {profile.describe()}")
     print(render_pair_table(covered_pairs(h), lo, hi))

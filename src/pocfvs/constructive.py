@@ -19,6 +19,11 @@ neighborhood containment before performing it. Any failed certificate is a
 ``ContradictionError``: it cannot happen unless one of the structural
 guarantees the pipeline relies on is false.
 
+Public entry points check their preconditions and raise
+``InvalidInputError`` when one fails. The private cores behind them
+(``_move_step``, ``_sp3_pipeline``) trust their callers and check none of
+them again, but keep every certificate.
+
 Internal exhaustive subroutines (minimum covering subsets, smallest
 dominating cliques) are deliberate: the bounds require true minimality and
 the package only targets desk-scale inputs.
@@ -34,7 +39,7 @@ from .errors import ContradictionError, InvalidInputError
 from .generators import path
 from .graph import Graph, iter_bits
 from .iso import find_induced_embedding, is_free
-from .solvers import is_cfvs, is_fvs, min_cds, min_fvs
+from .solvers import SolveResult, is_cfvs, is_fvs, min_cds, min_fvs
 
 
 @dataclass
@@ -242,6 +247,14 @@ def _component_sets(g: Graph, members) -> list[frozenset[int]]:
     return [frozenset(iter_bits(m)) for m in g.mask_components(mask)]
 
 
+def _component_of(g: Graph, members, anchor: int) -> frozenset[int]:
+    """The component of the subgraph induced by ``members`` that holds ``anchor``."""
+    mask = sum(1 << v for v in members)
+    if not (mask >> anchor & 1):
+        raise ContradictionError("anchor left the working set")
+    return frozenset(iter_bits(g.mask_component(anchor, mask)))
+
+
 def _adjacent(g: Graph, vertex: int, group) -> bool:
     return any(g.has_edge(vertex, w) for w in group)
 
@@ -273,7 +286,6 @@ def move_step(
     * every component other than Z' is adjacent to at most one
       remaining u-vertex.
     """
-    trace = ProcedureTrace("move-step", g.n)
     s_mem = g.check_vertex_set(s_set)
     z_mem = g.check_vertex_set(z_set)
     u_mem = g.check_vertex_set(u_set)
@@ -293,7 +305,14 @@ def move_step(
     u_mask = sum(1 << w for w in u_mem)
     if any(g.mask(v) & u_mask for v in u_mem):
         raise InvalidInputError("u must be an independent set")
+    return _move_step(g, s_mem, z_mem, u_mem, s_param)
 
+
+def _move_step(
+    g: Graph, s_mem: frozenset[int], z_mem: frozenset[int], u_mem: frozenset[int], s_param: int
+) -> tuple[frozenset[int], ProcedureTrace]:
+    """Core of :func:`move_step`; trusts the caller to meet its preconditions."""
+    trace = ProcedureTrace("move-step", g.n)
     anchor = min(z_mem)
     seed_is_fvs = is_fvs(g, s_mem)
     s_cur = set(s_mem)
@@ -305,12 +324,6 @@ def move_step(
             trace.checkpoint(g, s_cur, stage)
         else:
             trace.record(stage, current=s_cur)
-
-    def current_z() -> frozenset[int]:
-        for comp in _component_sets(g, s_cur):
-            if anchor in comp:
-                return comp
-        raise ContradictionError("anchor left the seed set")
 
     others = [c for c in _component_sets(g, s_mem) if c != z_mem]
     comps_a = [c for c in others if any(_adjacent(g, u, c) for u in sorted(u_mem))]
@@ -355,7 +368,7 @@ def move_step(
             raise ContradictionError(
                 f"third cover has {len(u4)} vertices; at most {s_param - 1} are possible"
             )
-        z_now = current_z()
+        z_now = _component_of(g, s_cur, anchor)
         w_set = [u for u in u4 if sum(1 for c in a3 if _adjacent(g, u, c)) >= 2]
         for u in w_set:
             if not _adjacent(g, u, z_now):
@@ -391,7 +404,7 @@ def move_step(
             f"move step grew the set by {len(s_cur) - len(s_mem)}; "
             f"the certified growth is {2 * s_param - 2}"
         )
-    z_final = current_z()
+    z_final = _component_of(g, s_cur, anchor)
     if not (z_mem <= z_final and (s_cur - s_mem) <= z_final):
         raise ContradictionError("an added vertex fell outside the hub component")
     u_left = u_mem - s_cur
@@ -417,37 +430,53 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
     step on both halves of the leftover matching, absorbs every outside
     component that still contains a 3-vertex path, and finally swaps one
     vertex per remaining component along a closed-neighborhood containment.
+    A graph with no induced (s-1)*P_3 is handled at scale s-1, repeatedly;
+    each level skipped this way leaves one ``recurse`` step at the front of
+    the trace, and the certified bound stays the one for the requested s.
     """
-    trace = ProcedureTrace("connectify-sp3", g.n)
     if s_param < 1:
         raise InvalidInputError(f"the pattern scale must be >= 1, got {s_param}")
     if not g.is_connected():
         raise InvalidInputError("connectification needs a connected graph")
     if not is_free(g, [s_param * path(3)]):
         raise InvalidInputError(f"input contains an induced {s_param}*P_3")
-    bound_const = 0 if s_param == 1 else 12 * s_param * s_param - 2 * s_param - 2
-
-    if s_param == 1:
+    trace = ProcedureTrace("connectify-sp3", g.n)
+    level, hit = s_param, None
+    while level > 1:
+        hit = find_induced_embedding((level - 1) * path(3), g)
+        if hit is not None:
+            break
+        level -= 1
+    fvs_res = min_fvs(g)
+    if level == 1:
         if not g.is_complete():
             raise ContradictionError("a connected graph with no induced P_3 must be complete")
         out = frozenset(range(g.n - 2)) if g.n >= 3 else frozenset()
-        if len(out) != min_fvs(g).optimum or not is_cfvs(g, out):
+        if len(out) != fvs_res.optimum or not is_cfvs(g, out):
             raise ContradictionError("the first n-2 vertices of a complete graph "
                                      "must form a minimum connected FVS")
         trace.record("complete", result=out)
-        trace.finish(out, len(out))
-        return out, trace
+    else:
+        out = _sp3_pipeline(g, level, hit, fvs_res, trace)
+    trace.steps[:0] = [
+        TraceStep("recurse", {"result": tuple(sorted(out))}, f"input avoids {t - 1}*P_3")
+        for t in range(s_param, level, -1)
+    ]
+    trace.finish(out, fvs_res.optimum + _sp3_constant(s_param))
+    return out, trace
 
-    if is_free(g, [(s_param - 1) * path(3)]):
-        inner, sub = connectify_sp3(g, s_param - 1)
-        trace.record("recurse", note=f"input avoids {s_param - 1}*P_3", result=inner)
-        trace.steps.extend(sub.steps)
-        trace.swaps.extend(sub.swaps)
-        trace.fvs_checkpoints.extend(sub.fvs_checkpoints)
-        trace.finish(inner, min_fvs(g).optimum + bound_const)
-        return inner, trace
 
-    hit = find_induced_embedding((s_param - 1) * path(3), g)
+def _sp3_constant(s_param: int) -> int:
+    return 0 if s_param == 1 else 12 * s_param * s_param - 2 * s_param - 2
+
+
+def _sp3_pipeline(
+    g: Graph, s_param: int, hit: dict[int, int], fvs_res: SolveResult, trace: ProcedureTrace
+) -> frozenset[int]:
+    """Core of :func:`connectify_sp3` once ``g`` holds an induced (s-1)*P_3 ``hit``.
+
+    Trusts its caller: ``g`` is connected and has no induced s*P_3.
+    """
     # pattern vertex 3t+1 is the middle of the t-th path
     middles = [hit[3 * t + 1] for t in range(s_param - 1)]
     scaffold = set(hit.values())
@@ -460,7 +489,6 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
         raise ContradictionError("the scaffold failed to connect")
     trace.record("scaffold", middles=middles, scaffold=scaffold)
 
-    fvs_res = min_fvs(g)
     s_cur = set(fvs_res.witness) | scaffold
     trace.checkpoint(g, s_cur, "seed-plus-scaffold")
 
@@ -500,14 +528,9 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
             raise ContradictionError("outside components must be single vertices or edges")
     trace.record("halves", u1=u1, u2=u2)
 
-    def z_of() -> frozenset[int]:
-        for comp in _component_sets(g, s_cur):
-            if anchor in comp:
-                return comp
-        raise ContradictionError("anchor left the working set")
-
     for name, uset in (("u1", u1), ("u2", u2)):
-        moved, sub = move_step(g, s_cur, z_of(), uset, s_param)
+        z_now = _component_of(g, s_cur, anchor)
+        moved, sub = _move_step(g, frozenset(s_cur), z_now, frozenset(uset), s_param)
         added = sorted(set(moved) - s_cur)
         s_cur = set(moved)
         trace.steps.extend(sub.steps)
@@ -517,7 +540,7 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
 
     # absorb every outside component that still contains a 3-vertex path;
     # a connected graph is P_3-free exactly when it is complete
-    z_now = z_of()
+    z_now = _component_of(g, s_cur, anchor)
     rim = _component_sets(g, [v for v in range(g.n) if v not in z_now])
     absorbed = 0
     for comp in rim:
@@ -534,7 +557,7 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
         trace.record("absorb-outside", component=comp, added=fresh)
     trace.checkpoint(g, s_cur, "after-absorb")
 
-    claimed = fvs_res.optimum + bound_const
+    claimed = fvs_res.optimum + _sp3_constant(s_param)
     if len(s_cur) > claimed:
         raise ContradictionError(
             f"pipeline size {len(s_cur)} exceeds the certified bound {claimed}"
@@ -543,7 +566,7 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
     # swap one vertex per leftover component into its outside clique
     while True:
         comps = _component_sets(g, s_cur)
-        z_now = z_of()
+        z_now = _component_of(g, s_cur, anchor)
         rest = [c for c in comps if c != z_now]
         if not rest:
             break
@@ -566,5 +589,4 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
     if not is_cfvs(g, s_cur):
         raise ContradictionError("the pipeline did not produce a connected FVS")
     trace.record("done", result=s_cur)
-    trace.finish(s_cur, claimed)
-    return frozenset(s_cur), trace
+    return frozenset(s_cur)

@@ -147,18 +147,6 @@ def gprime(*t: int) -> Graph:
     return Graph(nxt, edges)
 
 
-def copies(s: int, g: Graph) -> Graph:
-    """Disjoint union of s copies of g."""
-    if s < 0:
-        raise InvalidInputError(f"copy count must be >= 0, got {s}")
-    return s * g
-
-
-def p5_free_witness(ell: int) -> Graph:
-    """K_{3,ell}: the standard P_5-free example with fvs 2 and cfvs 3."""
-    return complete_bipartite(3, ell)
-
-
 # -- family specs ----------------------------------------------------------
 
 _FAMILIES = {
@@ -169,7 +157,6 @@ _FAMILIES = {
     "tadpole": (tadpole, 2),
     "hourglass-chain": (hourglass_chain, 1),
     "complete-bipartite": (complete_bipartite, 2),
-    "p5-witness": (p5_free_witness, 1),
     "threeP1-witness": (three_p1_witness, 0),
     "hourglass": (hourglass, 0),
     "claw": (claw, 0),
@@ -205,7 +192,7 @@ def from_spec(spec: FamilySpec) -> Graph:
             out = disjoint_union(out, from_spec(part))
         return out
     if spec.family == "copies":
-        return copies(spec.params[0], from_spec(spec.parts[0]))
+        return spec.params[0] * from_spec(spec.parts[0])
     try:
         fn, arity = _FAMILIES[spec.family]
     except KeyError:

@@ -108,10 +108,8 @@ class Graph:
     def __rmul__(self, s: int) -> "Graph":
         if not isinstance(s, int) or s < 0:
             raise InvalidInputError(f"copy count must be a non-negative integer, got {s!r}")
-        out = Graph(0)
-        for _ in range(s):
-            out = disjoint_union(out, self)
-        return out
+        n, edges = self.n, self.edges()
+        return Graph(s * n, [(u + k * n, v + k * n) for k in range(s) for u, v in edges])
 
     def relabel(self, order: Iterable[int]) -> "Graph":
         """Return the graph with old vertex ``order[i]`` renamed to ``i``."""
@@ -240,9 +238,3 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     shift = g1.n
     edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
     return Graph(g1.n + g2.n, edges)
-
-
-def is_feedback_vertex_set(g: Graph, s: Iterable[int]) -> bool:
-    """True iff deleting ``s`` from ``g`` leaves a forest."""
-    drop = sum(1 << v for v in g.check_vertex_set(s))
-    return g.mask_is_acyclic(g.full_mask & ~drop)

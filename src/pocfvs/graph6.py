@@ -44,16 +44,21 @@ def decode(line: str) -> Graph:
     if not (0 <= first <= 62):
         raise InvalidInputError(f"invalid graph6 order byte {text[0]!r}")
     n = first
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = text[1 : 1 + need]
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
+    body = text[1:]
     if len(body) < need:
         raise InvalidInputError("graph6 line is truncated")
+    if len(body) > need:
+        raise InvalidInputError(f"graph6 line has {len(body) - need} byte(s) past the body")
     bits = []
     for ch in body:
         val = ord(ch) - 63
         if not (0 <= val < 64):
             raise InvalidInputError(f"invalid graph6 byte {ch!r}")
         bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[pairs:]):
+        raise InvalidInputError("graph6 padding bits must be zero")
     edges = []
     idx = 0
     for j in range(1, n):
@@ -65,11 +70,11 @@ def decode(line: str) -> Graph:
 
 
 def read_file(path: str) -> list[Graph]:
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == HEADER:
-                continue
-            out.append(decode(line))
-    return out
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path!r} is not an ASCII graph6 file") from None
+    return [decode(line) for line in lines if line and line != HEADER]

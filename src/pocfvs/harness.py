@@ -30,10 +30,9 @@ _LEVEL_CACHE: dict[tuple[int, tuple], list[Graph]] = {}
 
 @dataclass(frozen=True)
 class EnumerationSpec:
-    """What to enumerate: sizes 1..n_max, optionally forbidding a family."""
+    """What to enumerate: connected graphs on 1..n_max vertices, optionally forbidding a family."""
 
     n_max: int
-    connected: bool = True
     forbidden: tuple[Graph, ...] = ()
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class EnumerationSpec:
             raise ResourceLimitError(
                 f"internal enumeration stops at {MAX_ENUMERATION_ORDER} vertices"
             )
-        if not self.connected:
-            raise InvalidInputError("only connected enumeration is supported")
 
 
 def _family_key(forbidden) -> tuple:
@@ -92,39 +89,6 @@ def enumerate_connected_upto(n_max: int, forbidden=()) -> list[Graph]:
     for n in range(1, n_max + 1):
         out.extend(enumerate_connected(n, forbidden))
     return out
-
-
-def enumerate_all_graphs(n: int) -> list[Graph]:
-    """All graphs (connected or not) on exactly ``n`` vertices, up to isomorphism.
-
-    Assembled as multisets of connected pieces, one per partition of n.
-    """
-    from itertools import combinations_with_replacement
-
-    def partitions(total: int, cap: int):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in partitions(total - first, first):
-                yield (first, *rest)
-
-    out: dict[tuple, Graph] = {}
-    for shape in partitions(n, n):
-        pools = [enumerate_connected(k) for k in shape]
-        # choose one graph per part; identical part sizes need multisets
-        def assemble(idx: int, acc: Graph, last_pick):
-            if idx == len(shape):
-                ck = canonical_form(acc).key
-                out.setdefault(ck, acc)
-                return
-            for pick, g in enumerate(pools[idx]):
-                if idx > 0 and shape[idx] == shape[idx - 1] and pick < last_pick:
-                    continue
-                assemble(idx + 1, acc + g, pick)
-
-        assemble(0, Graph(0), 0)
-    return [out[k] for k in sorted(out)]
 
 
 # -- experiments -------------------------------------------------------------

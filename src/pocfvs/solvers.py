@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
-from .graph import Graph, is_feedback_vertex_set, iter_bits
+from .graph import Graph, iter_bits
 
 DEFAULT_LIMIT = 20
 _LIMIT_ENV = "POCFVS_LIMIT"
@@ -204,13 +204,15 @@ def min_cds(g: Graph, limit: int | None = None) -> SolveResult:
 
 
 def is_fvs(g: Graph, s) -> bool:
-    return is_feedback_vertex_set(g, s)
+    """True iff deleting ``s`` from ``g`` leaves a forest."""
+    drop = sum(1 << v for v in g.check_vertex_set(s))
+    return g.mask_is_acyclic(g.full_mask & ~drop)
 
 
 def is_cfvs(g: Graph, s) -> bool:
     """FVS check plus connectivity; the empty set counts as connected."""
     members = g.check_vertex_set(s)
-    if not is_feedback_vertex_set(g, members):
+    if not is_fvs(g, members):
         return False
     if not members:
         return True
@@ -242,7 +244,7 @@ def normalize_min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
     explored = 0
     for combo in combinations(range(g.n), k):
         explored += 1
-        if not is_feedback_vertex_set(g, combo):
+        if not is_fvs(g, combo):
             continue
         if all(g.degree(v) >= 3 and lies_on_cycle(g, v) for v in combo):
             return SolveResult(k, frozenset(combo), explored)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written against raw edge lists with its
 own traversal code, so a bug in the library's search strategies cannot
-hide inside the oracle that checks them.
+hide inside the oracle that checks them. The one exception is
+``enumerate_all_graphs``, a test corpus assembled from the library's own
+connected enumeration.
 """
 
 from __future__ import annotations
@@ -186,3 +188,38 @@ def subset_embedding_exists(pattern, host) -> bool:
             if mapped == sub_edges:
                 return True
     return False
+
+
+def enumerate_all_graphs(n: int):
+    """All graphs (connected or not) on exactly ``n`` vertices, up to isomorphism.
+
+    Assembled as multisets of connected pieces, one per partition of n.
+    """
+    from pocfvs import Graph
+    from pocfvs.harness import enumerate_connected
+    from pocfvs.iso import canonical_form
+
+    def partitions(total: int, cap: int):
+        if total == 0:
+            yield ()
+            return
+        for first in range(min(total, cap), 0, -1):
+            for rest in partitions(total - first, first):
+                yield (first, *rest)
+
+    out = {}
+    for shape in partitions(n, n):
+        pools = [enumerate_connected(k) for k in shape]
+
+        # choose one graph per part; identical part sizes need multisets
+        def assemble(idx: int, acc, last_pick):
+            if idx == len(shape):
+                out.setdefault(canonical_form(acc).key, acc)
+                return
+            for pick, g in enumerate(pools[idx]):
+                if idx > 0 and shape[idx] == shape[idx - 1] and pick < last_pick:
+                    continue
+                assemble(idx + 1, acc + g, pick)
+
+        assemble(0, Graph(0), 0)
+    return [out[k] for k in sorted(out)]

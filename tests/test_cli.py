@@ -119,10 +119,18 @@ def test_verify_suite(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
-def test_input_error_exit_code(capsys):
-    code, _, err = run(capsys, "solve", "nonsense:1")
-    assert code == 2
-    assert "input error" in err
+def test_input_error_exit_code(capsys, tmp_path):
+    missing = str(tmp_path / "missing.g6")
+    for argv in [
+        ("solve", "nonsense:1"),
+        ("table", "P6", "--range", "abc"),
+        ("table", "P6", "--range", "3"),
+        ("solve", f"file:{missing}"),
+        ("explore", "--g6-in", missing),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("input error") and err.count("\n") == 1, argv
 
 
 def test_resource_limit_exit_code(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from pocfvs.constructive import (
     connectify_sp3,
     move_step,
 )
+from pocfvs.graph6 import decode
 from pocfvs.harness import enumerate_connected
 from pocfvs.iso import find_induced_embedding, is_free
 from pocfvs.solvers import is_cfvs, is_fvs, min_fvs
@@ -255,8 +257,6 @@ ABSORB_CASES = [("KOHs[?P@Bo?C", 3)]
 
 
 def _run_pinned(code, s):
-    from pocfvs.graph6 import decode
-
     g = decode(code)
     result, trace = connectify_sp3(g, s)
     assert is_cfvs(g, result)
@@ -285,3 +285,28 @@ def test_sp3_second_cover_stage(code, s):
 def test_sp3_absorb_stage(code, s):
     trace = _run_pinned(code, s)
     assert any(step.stage == "absorb-outside" for step in trace.steps)
+
+
+# sha256 of the connectify_sp3 traces, one JSON document per line, as the
+# reference implementation wrote them; a changed trace byte fails here
+CORPUS_TRACE_DIGEST = "8bdfdd827e37d4b49d8d1f2f394ea170462c1362e0a7bf7024c45eadeea09998"
+PINNED_TRACE_DIGEST = "5e91d51ae8f4bb8a5301a1bf3ecfee18f407f1e4ae723e5afc23bc047d03bae7"
+
+
+def _trace_digest(runs):
+    h = hashlib.sha256()
+    for g, s in runs:
+        _, trace = connectify_sp3(g, s)
+        h.update(trace.to_json().encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_sp3_traces_are_byte_stable():
+    # every connected 2P_3-free graph with n <= 7; at s = 3 each one takes
+    # the descent to s = 2 before the pipeline runs
+    corpus = [g for n in range(1, 8) for g in enumerate_connected(n, forbidden=(2 * path(3),))]
+    assert len(corpus) == 981
+    assert _trace_digest((g, s) for g in corpus for s in (2, 3)) == CORPUS_TRACE_DIGEST
+    pinned = SWAP_CASES + SECOND_COVER_CASES + ABSORB_CASES
+    assert _trace_digest((decode(code), s) for code, s in pinned) == PINNED_TRACE_DIGEST

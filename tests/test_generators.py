@@ -6,7 +6,6 @@ from pocfvs import (
     butterfly,
     claw,
     complete_bipartite,
-    copies,
     cycle,
     from_spec,
     gprime,
@@ -161,10 +160,12 @@ def test_gprime_structure_and_values():
 
 
 def test_copies():
-    g = copies(3, path(3))
+    g = 3 * path(3)
     assert g.n == 9 and len(g.connected_components()) == 3
-    assert are_isomorphic(copies(2, cycle(3)), tadpole(0, 3) + tadpole(0, 3))
-    assert copies(0, cycle(3)).n == 0
+    # copy k occupies vertices k*n .. k*n + n-1, as repeated disjoint unions do
+    assert g.edges() == ((0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8))
+    assert are_isomorphic(2 * cycle(3), tadpole(0, 3) + tadpole(0, 3))
+    assert (0 * cycle(3)).n == 0
 
 
 def test_parse_spec_roundtrips():

@@ -20,7 +20,6 @@ from pocfvs import graph6 as g6mod
 from pocfvs.graph6 import decode, encode, read_file
 from pocfvs.harness import (
     EnumerationSpec,
-    enumerate_all_graphs,
     enumerate_connected,
     enumerate_connected_upto,
     evaluate_graphs,
@@ -31,7 +30,7 @@ from pocfvs.harness import (
 from pocfvs.iso import are_isomorphic, canonical_form, canonical_graph, is_free
 from pocfvs.solvers import min_cfvs, min_fvs
 
-from _oracles import dfs_is_acyclic, edge_set, perm_isomorphic, reachable
+from _oracles import dfs_is_acyclic, edge_set, enumerate_all_graphs, perm_isomorphic, reachable
 
 
 def test_enumeration_counts_naive_crosscheck_small():
@@ -198,12 +197,22 @@ def test_graph6_header_and_errors(tmp_path):
     with pytest.raises(InvalidInputError):
         decode("B")
     with pytest.raises(InvalidInputError):
+        decode("BwXYZ")  # bytes past the body
+    with pytest.raises(InvalidInputError):
+        decode("B~")  # non-zero padding bits
+    with pytest.raises(InvalidInputError):
         encode(Graph(63))
     corpus = tmp_path / "graphs.g6"
     corpus.write_text(">>graph6<<\n" + encode(cycle(4)) + "\n" + encode(path(2)) + "\n")
     graphs = read_file(str(corpus))
     assert len(graphs) == 2
     assert graphs[0] == cycle(4)
+    with pytest.raises(InvalidInputError):
+        read_file(str(tmp_path / "missing.g6"))
+    binary = tmp_path / "binary.g6"
+    binary.write_bytes(b"\xff\n")
+    with pytest.raises(InvalidInputError):
+        read_file(str(binary))
 
 
 def test_evaluate_graphs_skips_disconnected():

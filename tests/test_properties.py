@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pocfvs import Graph, disjoint_union, is_feedback_vertex_set
+from pocfvs import Graph, disjoint_union, is_fvs
 from pocfvs.graph6 import decode, encode
 from pocfvs.iso import canonical_form
 from pocfvs.solvers import min_fvs
@@ -51,7 +51,7 @@ def test_distance_matrix_symmetric_with_triangle_inequality(g):
 def test_fvs_witness_supersets_stay_feasible(g, extra):
     witness = set(min_fvs(g).witness)
     grown = witness | {v for v in extra if v < g.n}
-    assert is_feedback_vertex_set(g, grown)
+    assert is_fvs(g, grown)
 
 
 @given(graphs(max_n=6), graphs(max_n=6))
