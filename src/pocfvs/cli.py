@@ -155,9 +155,9 @@ def _cmd_connectify(args) -> int:
         seed = min_fvs(g, args.limit).witness
         result, trace = connectify_by_paths(g, seed)
     elif args.method == "p5":
-        result, trace = connectify_p5sp1(g, args.s)
+        result, trace = connectify_p5sp1(g, 0 if args.s is None else args.s)
     else:
-        result, trace = connectify_sp3(g, args.s if args.s else 2)
+        result, trace = connectify_sp3(g, 2 if args.s is None else args.s)
     print(f"connected FVS: {sorted(result)}")
     print(f"size: {len(result)}  certified bound: {trace.claimed_bound}")
     if args.trace:
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connectify", help="run a constructive procedure")
     p.add_argument("source")
     p.add_argument("--method", choices=("paths", "p5", "sp3"), required=True)
-    p.add_argument("--s", type=int, default=0)
+    p.add_argument("--s", type=int, default=None, help="sp3 default 2, p5 default 0")
     p.add_argument("--trace", default=None)
     p.add_argument("--limit", type=int, default=None)
     p.set_defaults(func=_cmd_connectify)

@@ -22,7 +22,9 @@ guarantees the pipeline relies on is false.
 Public entry points check their preconditions and raise
 ``InvalidInputError`` when one fails. The private cores behind them
 (``_move_step``, ``_sp3_pipeline``) trust their callers and check none of
-them again, but keep every certificate.
+them again, but keep every certificate. The cores hold vertex sets as
+bitmasks, as the graph core does; the public functions convert to
+frozensets at their boundary and traces record sorted tuples.
 
 Internal exhaustive subroutines (minimum covering subsets, smallest
 dominating cliques) are deliberate: the bounds require true minimality and
@@ -203,7 +205,7 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
             )
         trace.record("dominating-core", core=dom, note="clique or P_3 dominating set")
         out = f | set(dom)
-        bound = fvs_res.optimum + 3
+        bound = fvs_res.optimum + p5sp1_constant(0)
     else:
         if s_param < 1:
             raise ContradictionError("a P_5 was found in a graph verified P_5-free")
@@ -231,7 +233,7 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
             )
         trace.record("dominating-core", core=cds.witness)
         out = f | set(cds.witness)
-        bound = fvs_res.optimum + 3 * s_param + 10
+        bound = fvs_res.optimum + p5sp1_constant(s_param)
     trace.checkpoint(g, out, "fvs-plus-core")
     if not is_cfvs(g, out):
         raise ContradictionError("the dominating core failed to connect the set")
@@ -242,29 +244,32 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
 # -- the move step and the s*P_3 pipeline -------------------------------------
 
 
-def _component_sets(g: Graph, members) -> list[frozenset[int]]:
-    mask = sum(1 << v for v in members)
-    return [frozenset(iter_bits(m)) for m in g.mask_components(mask)]
+def _mask_of(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
 
-def _component_of(g: Graph, members, anchor: int) -> frozenset[int]:
+def _reach(g: Graph, vertices) -> int:
+    """Mask of every vertex adjacent to one of ``vertices``."""
+    out = 0
+    for v in vertices:
+        out |= g.mask(v)
+    return out
+
+
+def _component_of(g: Graph, members: int, anchor: int) -> int:
     """The component of the subgraph induced by ``members`` that holds ``anchor``."""
-    mask = sum(1 << v for v in members)
-    if not (mask >> anchor & 1):
+    if not (members >> anchor & 1):
         raise ContradictionError("anchor left the working set")
-    return frozenset(iter_bits(g.mask_component(anchor, mask)))
+    return g.mask_component(anchor, members)
 
 
-def _adjacent(g: Graph, vertex: int, group) -> bool:
-    return any(g.has_edge(vertex, w) for w in group)
-
-
-def _min_cover(universe, groups, g: Graph) -> tuple[int, ...]:
+def _min_cover(universe, groups: list[int], g: Graph) -> tuple[int, ...]:
     """Lexicographically first minimum subset of ``universe`` touching every group."""
     universe = sorted(universe)
     for k in range(len(universe) + 1):
         for combo in combinations(universe, k):
-            if all(any(_adjacent(g, u, grp) for u in combo) for grp in groups):
+            reach = _reach(g, combo)
+            if all(reach & grp for grp in groups):
                 return combo
     raise ContradictionError("no covering subset exists; groups are not all adjacent")
 
@@ -289,59 +294,57 @@ def move_step(
     s_mem = g.check_vertex_set(s_set)
     z_mem = g.check_vertex_set(z_set)
     u_mem = g.check_vertex_set(u_set)
+    s_mask, z_mask, u_mask = _mask_of(s_mem), _mask_of(z_mem), _mask_of(u_mem)
     if s_param < 1:
         raise InvalidInputError(f"the pattern scale must be >= 1, got {s_param}")
     if not g.is_connected():
         raise InvalidInputError("move step needs a connected graph")
     if not is_free(g, [s_param * path(3)]):
         raise InvalidInputError(f"input contains an induced {s_param}*P_3")
-    if z_mem not in _component_sets(g, s_mem):
+    if z_mask not in g.mask_components(s_mask):
         raise InvalidInputError("z must be exactly one component of the induced seed set")
     z_graph, _ = g.induced_subgraph(z_mem)
     if find_induced_embedding((s_param - 1) * path(3), z_graph) is None:
         raise InvalidInputError(f"z must contain an induced {s_param - 1}*P_3")
-    if u_mem & s_mem:
+    if u_mask & s_mask:
         raise InvalidInputError("u must be disjoint from the seed set")
-    u_mask = sum(1 << w for w in u_mem)
-    if any(g.mask(v) & u_mask for v in u_mem):
+    if _reach(g, u_mem) & u_mask:
         raise InvalidInputError("u must be an independent set")
-    return _move_step(g, s_mem, z_mem, u_mem, s_param)
+    moved, trace = _move_step(g, s_mask, z_mask, u_mask, s_param, is_fvs(g, s_mem))
+    return frozenset(iter_bits(moved)), trace
 
 
 def _move_step(
-    g: Graph, s_mem: frozenset[int], z_mem: frozenset[int], u_mem: frozenset[int], s_param: int
-) -> tuple[frozenset[int], ProcedureTrace]:
-    """Core of :func:`move_step`; trusts the caller to meet its preconditions."""
+    g: Graph, s_mask: int, z_mask: int, u_mask: int, s_param: int, seed_is_fvs: bool
+) -> tuple[int, ProcedureTrace]:
+    """Core of :func:`move_step` on vertex masks; trusts the caller to meet
+    its preconditions and to say whether the seed is an FVS."""
     trace = ProcedureTrace("move-step", g.n)
-    anchor = min(z_mem)
-    seed_is_fvs = is_fvs(g, s_mem)
-    s_cur = set(s_mem)
+    anchor = next(iter_bits(z_mask))
+    s_cur = s_mask
 
     def note_growth(stage: str) -> None:
         # sets grown from an FVS seed stay FVSs; only then is the
         # checkpoint meaningful
         if seed_is_fvs:
-            trace.checkpoint(g, s_cur, stage)
+            trace.checkpoint(g, iter_bits(s_cur), stage)
         else:
-            trace.record(stage, current=s_cur)
+            trace.record(stage, current=iter_bits(s_cur))
 
-    others = [c for c in _component_sets(g, s_mem) if c != z_mem]
-    comps_a = [c for c in others if any(_adjacent(g, u, c) for u in sorted(u_mem))]
-    trace.record("collect", z=z_mem, u=u_mem, a=sorted(v for c in comps_a for v in c))
+    u_reach = _reach(g, iter_bits(u_mask))
+    comps_a = [c for c in g.mask_components(s_mask) if c != z_mask and c & u_reach]
+    # components are disjoint, so their sum is their union
+    trace.record("collect", z=iter_bits(z_mask), u=iter_bits(u_mask), a=iter_bits(sum(comps_a)))
     if comps_a:
-        u1 = _min_cover(u_mem, comps_a, g)
+        u1 = _min_cover(iter_bits(u_mask), comps_a, g)
         # a private component of u is adjacent to no other cover vertex
-        private: dict[int, frozenset[int]] = {}
+        a1: set[int] = set()
         for u in u1:
-            mine = [
-                c
-                for c in comps_a
-                if _adjacent(g, u, c) and not any(_adjacent(g, w, c) for w in u1 if w != u)
-            ]
+            rivals = _reach(g, (w for w in u1 if w != u))
+            mine = [c for c in comps_a if g.mask(u) & c and not rivals & c]
             if not mine:
                 raise ContradictionError("a minimum cover vertex lost its private component")
-            private[u] = min(mine, key=min)
-        a1 = set(private.values())
+            a1.add(mine[0])
         a2 = [c for c in comps_a if c not in a1]
         u2 = _min_cover(u1, a2, g) if a2 else ()
         if len(u2) > s_param - 1:
@@ -349,40 +352,40 @@ def _move_step(
                 f"second cover has {len(u2)} vertices; at most {s_param - 1} are possible"
             )
         for u in u2:
-            if not _adjacent(g, u, z_mem):
+            if not g.mask(u) & z_mask:
                 raise ContradictionError(
                     "a vertex adjacent to two component layers must reach the hub component"
                 )
-        s_cur |= set(u2)
+        s_cur |= _mask_of(u2)
         trace.record("move-u2", u1=u1, u2=u2)
         note_growth("after-u2")
 
-        remaining = [c for c in comps_a if not any(_adjacent(g, u, c) for u in u2)]
+        remaining = [c for c in comps_a if not c & _reach(g, u2)]
         for c in remaining:
             if c not in a1:
                 raise ContradictionError("an unabsorbed component is not private to the cover")
-        u3 = sorted(u_mem - set(u1))
-        a3 = [c for c in remaining if any(_adjacent(g, u, c) for u in u3)]
+        u3 = list(iter_bits(u_mask & ~_mask_of(u1)))
+        a3 = [c for c in remaining if c & _reach(g, u3)]
         u4 = _min_cover(u3, a3, g) if a3 else ()
         if len(u4) > s_param - 1:
             raise ContradictionError(
                 f"third cover has {len(u4)} vertices; at most {s_param - 1} are possible"
             )
         z_now = _component_of(g, s_cur, anchor)
-        w_set = [u for u in u4 if sum(1 for c in a3 if _adjacent(g, u, c)) >= 2]
+        w_set = [u for u in u4 if sum(1 for c in a3 if g.mask(u) & c) >= 2]
         for u in w_set:
-            if not _adjacent(g, u, z_now):
+            if not g.mask(u) & z_now:
                 raise ContradictionError(
                     "a vertex adjacent to two private components must reach the hub component"
                 )
         for c in a3:
-            if any(_adjacent(g, w, c) for w in w_set):
+            if _reach(g, w_set) & c:
                 continue
-            owners = [u for u in u1 if u not in u2 and _adjacent(g, u, c)]
-            helpers = [u for u in u4 if u not in w_set and _adjacent(g, u, c)]
+            owners = [u for u in u1 if u not in u2 and g.mask(u) & c]
+            helpers = [u for u in u4 if u not in w_set and g.mask(u) & c]
             if not owners or not helpers:
                 raise ContradictionError("a private component lost its two-sided attachment")
-            candidates = [v for v in sorted(owners + helpers) if _adjacent(g, v, z_now)]
+            candidates = [v for v in sorted(owners + helpers) if g.mask(v) & z_now]
             if not candidates:
                 raise ContradictionError(
                     "neither attachment of a private component reaches the hub component"
@@ -392,32 +395,42 @@ def _move_step(
             raise ContradictionError(
                 f"relay set has {len(w_set)} vertices; at most {s_param - 1} are possible"
             )
-        s_cur |= set(w_set)
+        s_cur |= _mask_of(w_set)
         trace.record("move-w", u3=u3, u4=u4, w=w_set)
         note_growth("after-w")
     else:
         trace.record("noop", note="no outside component touches u")
 
     # verify the contract
-    if len(s_cur) > len(s_mem) + 2 * s_param - 2:
+    growth = s_cur.bit_count() - s_mask.bit_count()
+    if growth > 2 * s_param - 2:
         raise ContradictionError(
-            f"move step grew the set by {len(s_cur) - len(s_mem)}; "
-            f"the certified growth is {2 * s_param - 2}"
+            f"move step grew the set by {growth}; the certified growth is {2 * s_param - 2}"
         )
     z_final = _component_of(g, s_cur, anchor)
-    if not (z_mem <= z_final and (s_cur - s_mem) <= z_final):
+    if (z_mask | (s_cur & ~s_mask)) & ~z_final:
         raise ContradictionError("an added vertex fell outside the hub component")
-    u_left = u_mem - s_cur
-    side = [c for c in _component_sets(g, s_cur) if c != z_final]
-    for u in sorted(u_left):
-        if sum(1 for c in side if _adjacent(g, u, c)) > 1:
+    u_left = u_mask & ~s_cur
+    side = [c for c in g.mask_components(s_cur) if c != z_final]
+    for u in iter_bits(u_left):
+        if sum(1 for c in side if g.mask(u) & c) > 1:
             raise ContradictionError(f"u-vertex {u} still touches two outside components")
     for c in side:
-        if sum(1 for u in u_left if _adjacent(g, u, c)) > 1:
+        if sum(1 for u in iter_bits(u_left) if g.mask(u) & c) > 1:
             raise ContradictionError("an outside component still touches two u-vertices")
-    trace.record("done", result=s_cur)
-    trace.finish(s_cur, len(s_mem) + 2 * s_param - 2)
-    return frozenset(s_cur), trace
+    trace.record("done", result=iter_bits(s_cur))
+    trace.finish(iter_bits(s_cur), s_mask.bit_count() + 2 * s_param - 2)
+    return s_cur, trace
+
+
+def sp3_constant(s_param: int) -> int:
+    """Additive constant of the s*P_3-free bound: 12s^2 - 2s - 2, and 0 when s = 1."""
+    return 0 if s_param == 1 else 12 * s_param * s_param - 2 * s_param - 2
+
+
+def p5sp1_constant(s_param: int) -> int:
+    """Additive constant of the (P_5 + s*P_1)-free bound: 3s + 10, and 3 when s = 0."""
+    return 3 * s_param + 10 if s_param else 3
 
 
 def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTrace]:
@@ -457,136 +470,120 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
                                      "must form a minimum connected FVS")
         trace.record("complete", result=out)
     else:
-        out = _sp3_pipeline(g, level, hit, fvs_res, trace)
+        out = frozenset(iter_bits(_sp3_pipeline(g, level, hit, fvs_res, trace)))
     trace.steps[:0] = [
         TraceStep("recurse", {"result": tuple(sorted(out))}, f"input avoids {t - 1}*P_3")
         for t in range(s_param, level, -1)
     ]
-    trace.finish(out, fvs_res.optimum + _sp3_constant(s_param))
+    trace.finish(out, fvs_res.optimum + sp3_constant(s_param))
     return out, trace
-
-
-def _sp3_constant(s_param: int) -> int:
-    return 0 if s_param == 1 else 12 * s_param * s_param - 2 * s_param - 2
 
 
 def _sp3_pipeline(
     g: Graph, s_param: int, hit: dict[int, int], fvs_res: SolveResult, trace: ProcedureTrace
-) -> frozenset[int]:
+) -> int:
     """Core of :func:`connectify_sp3` once ``g`` holds an induced (s-1)*P_3 ``hit``.
 
-    Trusts its caller: ``g`` is connected and has no induced s*P_3.
+    Trusts its caller: ``g`` is connected and has no induced s*P_3. Works
+    on vertex masks and returns the connected FVS as one.
     """
     # pattern vertex 3t+1 is the middle of the t-th path
     middles = [hit[3 * t + 1] for t in range(s_param - 1)]
-    scaffold = set(hit.values())
+    scaffold = _mask_of(hit.values())
     for v in middles[1:]:
-        scaffold.update(g.shortest_path(middles[0], v))
+        scaffold |= _mask_of(g.shortest_path(middles[0], v))
     anchor = middles[0]
-    if len(scaffold) > 4 * s_param * s_param - 4 * s_param:
+    if scaffold.bit_count() > 4 * s_param * s_param - 4 * s_param:
         raise ContradictionError("the scaffold outgrew its certified size")
-    if not g.mask_is_connected(sum(1 << v for v in scaffold)):
+    if not g.mask_is_connected(scaffold):
         raise ContradictionError("the scaffold failed to connect")
-    trace.record("scaffold", middles=middles, scaffold=scaffold)
+    trace.record("scaffold", middles=middles, scaffold=iter_bits(scaffold))
 
-    s_cur = set(fvs_res.witness) | scaffold
-    trace.checkpoint(g, s_cur, "seed-plus-scaffold")
+    s_cur = _mask_of(fvs_res.witness) | scaffold
+    trace.checkpoint(g, iter_bits(s_cur), "seed-plus-scaffold")
 
-    def outside_mask() -> int:
-        return g.full_mask & ~sum(1 << v for v in s_cur)
-
-    def outside_degree(v: int, mask: int) -> int:
-        return (g.mask(v) & mask).bit_count()
-
-    mask = outside_mask()
-    deg3 = [v for v in iter_bits(mask) if outside_degree(v, mask) >= 3]
+    mask = g.full_mask & ~s_cur
+    deg3 = [v for v in iter_bits(mask) if (g.mask(v) & mask).bit_count() >= 3]
     if len(deg3) > 4 * s_param * s_param:
         raise ContradictionError("too many branch vertices outside the set")
-    s_cur |= set(deg3)
+    s_cur |= _mask_of(deg3)
     trace.record("absorb-branch", absorbed=deg3)
-    trace.checkpoint(g, s_cur, "after-branch")
+    trace.checkpoint(g, iter_bits(s_cur), "after-branch")
 
-    mask = outside_mask()
-    deg2 = [v for v in iter_bits(mask) if outside_degree(v, mask) == 2]
+    mask = g.full_mask & ~s_cur
+    deg2 = [v for v in iter_bits(mask) if (g.mask(v) & mask).bit_count() == 2]
     if len(deg2) > 4 * s_param:
         raise ContradictionError("too many middle vertices outside the set")
-    s_cur |= set(deg2)
+    s_cur |= _mask_of(deg2)
     trace.record("absorb-middle", absorbed=deg2)
-    trace.checkpoint(g, s_cur, "after-middle")
+    trace.checkpoint(g, iter_bits(s_cur), "after-middle")
 
-    outside = _component_sets(g, [v for v in range(g.n) if v not in s_cur])
     u1: list[int] = []
     u2: list[int] = []
-    for comp in outside:
-        if len(comp) == 1:
-            u2.extend(comp)
-        elif len(comp) == 2:
-            a, b = sorted(comp)
-            u1.append(a)
-            u2.append(b)
-        else:
+    for comp in g.mask_components(g.full_mask & ~s_cur):
+        ends = list(iter_bits(comp))
+        if len(ends) > 2:
             raise ContradictionError("outside components must be single vertices or edges")
+        # a single vertex goes to u2; an edge splits across both halves
+        u1.extend(ends[:-1])
+        u2.append(ends[-1])
     trace.record("halves", u1=u1, u2=u2)
 
     for name, uset in (("u1", u1), ("u2", u2)):
         z_now = _component_of(g, s_cur, anchor)
-        moved, sub = _move_step(g, frozenset(s_cur), z_now, frozenset(uset), s_param)
-        added = sorted(set(moved) - s_cur)
-        s_cur = set(moved)
+        # s_cur was checkpointed as an FVS, and supersets of an FVS are FVSs
+        moved, sub = _move_step(g, s_cur, z_now, _mask_of(uset), s_param, True)
+        added = iter_bits(moved & ~s_cur)
+        s_cur = moved
         trace.steps.extend(sub.steps)
         trace.fvs_checkpoints.extend(sub.fvs_checkpoints)
         trace.record(f"move-{name}", added=added)
-    trace.checkpoint(g, s_cur, "after-moves")
+    trace.checkpoint(g, iter_bits(s_cur), "after-moves")
 
     # absorb every outside component that still contains a 3-vertex path;
     # a connected graph is P_3-free exactly when it is complete
     z_now = _component_of(g, s_cur, anchor)
-    rim = _component_sets(g, [v for v in range(g.n) if v not in z_now])
     absorbed = 0
-    for comp in rim:
-        sub_g, _ = g.induced_subgraph(comp)
-        if sub_g.is_complete():
+    for comp in g.mask_components(g.full_mask & ~z_now):
+        k = comp.bit_count()
+        if g.mask_edge_count(comp) == k * (k - 1) // 2:
             continue
-        fresh = sorted(comp - s_cur)
-        if len(fresh) > 4 * s_param - 2:
+        fresh = comp & ~s_cur
+        if fresh.bit_count() > 4 * s_param - 2:
             raise ContradictionError("a path-bearing outside component is too large")
         absorbed += 1
         if absorbed > s_param - 1:
             raise ContradictionError("too many path-bearing outside components")
         s_cur |= comp
-        trace.record("absorb-outside", component=comp, added=fresh)
-    trace.checkpoint(g, s_cur, "after-absorb")
+        trace.record("absorb-outside", component=iter_bits(comp), added=iter_bits(fresh))
+    trace.checkpoint(g, iter_bits(s_cur), "after-absorb")
 
-    claimed = fvs_res.optimum + _sp3_constant(s_param)
-    if len(s_cur) > claimed:
+    claimed = fvs_res.optimum + sp3_constant(s_param)
+    if s_cur.bit_count() > claimed:
         raise ContradictionError(
-            f"pipeline size {len(s_cur)} exceeds the certified bound {claimed}"
+            f"pipeline size {s_cur.bit_count()} exceeds the certified bound {claimed}"
         )
 
     # swap one vertex per leftover component into its outside clique
     while True:
-        comps = _component_sets(g, s_cur)
+        comps = g.mask_components(s_cur)
         z_now = _component_of(g, s_cur, anchor)
         rest = [c for c in comps if c != z_now]
         if not rest:
             break
-        a_comp = min(rest, key=min)
-        z_mask = sum(1 << v for v in z_now)
-        free_mask = g.full_mask & ~z_mask
-        x_candidate = min(a_comp)
-        comp_mask = g.mask_component(x_candidate, free_mask)
-        buddies = sorted(set(iter_bits(comp_mask)) - a_comp)
-        gate = [v for v in buddies if g.mask(v) & z_mask]
+        a_comp = rest[0]
+        x_candidate = next(iter_bits(a_comp))
+        comp_mask = g.mask_component(x_candidate, g.full_mask & ~z_now)
+        gate = [v for v in iter_bits(comp_mask & ~a_comp) if g.mask(v) & z_now]
         if not gate:
             raise ContradictionError("a leftover component cannot reach the hub component")
         y = gate[0]
         trace.record_swap(g, x_candidate, y)
-        s_cur.discard(x_candidate)
-        s_cur.add(y)
-        trace.checkpoint(g, s_cur, f"after-swap-{x_candidate}-{y}")
-        if len(_component_sets(g, s_cur)) >= len(comps):
+        s_cur = (s_cur & ~(1 << x_candidate)) | (1 << y)
+        trace.checkpoint(g, iter_bits(s_cur), f"after-swap-{x_candidate}-{y}")
+        if len(g.mask_components(s_cur)) >= len(comps):
             raise ContradictionError("a swap failed to reduce the component count")
-    if not is_cfvs(g, s_cur):
+    if not is_cfvs(g, iter_bits(s_cur)):
         raise ContradictionError("the pipeline did not produce a connected FVS")
-    trace.record("done", result=s_cur)
-    return frozenset(s_cur)
+    trace.record("done", result=iter_bits(s_cur))
+    return s_cur

@@ -238,6 +238,8 @@ def _parse_atom(text: str) -> FamilySpec:
         name, _, raw = text.partition(":")
         name = name.strip().lower()
         name = _ALIASES.get(name, name)
+        if name not in _FAMILIES:
+            raise InvalidInputError(f"unknown family {name!r}")
         try:
             params = tuple(int(p) for p in raw.replace(";", ",").split(",") if p.strip())
         except ValueError:

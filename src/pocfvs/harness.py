@@ -5,8 +5,9 @@ vertices arises from a connected graph on n vertices by attaching a new
 vertex to a nonempty neighborhood, so each level is built from the
 previous one and deduplicated through canonical forms. Forbidden-family
 filters prune during growth, which is sound because freeness is hereditary.
-Levels are cached per (order, forbidden-family) for the lifetime of the
-process; the experiment drivers lean on that cache heavily.
+Levels are cached for the lifetime of the process, keyed by the order and
+the forbidden graphs as given; the experiment drivers lean on that cache
+heavily. A relabelled isomorphic family misses it and is enumerated afresh.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import graph6
+from .constructive import p5sp1_constant, sp3_constant
 from .cover import ClassificationResult, family_covers_all
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
@@ -25,7 +27,7 @@ from .solvers import min_cfvs, min_fvs
 
 MAX_ENUMERATION_ORDER = 9
 
-_LEVEL_CACHE: dict[tuple[int, tuple], list[Graph]] = {}
+_LEVEL_CACHE: dict[tuple[int, frozenset[Graph]], list[Graph]] = {}
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,6 @@ class EnumerationSpec:
             )
 
 
-def _family_key(forbidden) -> tuple:
-    return tuple(sorted(canonical_form(h).key for h in forbidden))
-
-
 def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
     """All connected graphs on exactly ``n`` vertices avoiding ``forbidden``.
 
@@ -58,7 +56,7 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
     if n > MAX_ENUMERATION_ORDER:
         raise ResourceLimitError(f"internal enumeration stops at {MAX_ENUMERATION_ORDER}")
     forbidden = tuple(forbidden)
-    key = (n, _family_key(forbidden))
+    key = (n, frozenset(forbidden))
     if key in _LEVEL_CACHE:
         return _LEVEL_CACHE[key]
     if n == 1:
@@ -226,10 +224,10 @@ def tetrachotomy_classify(h: Graph) -> ClassificationResult:
             s = min(
                 s for s in range(n + 1) if embeds_induced(h, path(5) + s * path(1))
             )
-            candidates.append(3 * s + 10 if s else 3)
+            candidates.append(p5sp1_constant(s))
         if in_sp3:
             s = min(s for s in range(1, n + 1) if embeds_induced(h, s * path(3)))
-            candidates.append(0 if s == 1 else 12 * s * s - 2 * s - 2)
+            candidates.append(sp3_constant(s))
         return ClassificationResult(
             verdict="class-ii",
             bounded=True,

@@ -127,6 +127,7 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("table", "P6", "--range", "3"),
         ("solve", f"file:{missing}"),
         ("explore", "--g6-in", missing),
+        ("connectify", "kbip:3,4", "--method", "sp3", "--s", "0"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

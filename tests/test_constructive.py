@@ -136,12 +136,11 @@ def test_move_step_preconditions():
         move_step(path(3) + path(3), {0}, frozenset({0}), set(), 2)
 
 
-def test_move_step_exhaustive_small():
+def _move_step_corpus():
     # every 2P_3-free connected graph whose seed has a path-bearing hub
     # component; u is the greedy maximal independent set off the seed
     pattern = 2 * path(3)
     p3 = path(3)
-    ran = 0
     for n in range(4, 8):
         for g in enumerate_connected(n, forbidden=(pattern,)):
             hit = find_induced_embedding(p3, g)
@@ -166,11 +165,32 @@ def test_move_step_exhaustive_small():
                     continue
                 u.append(v)
                 taken |= 1 << v
-            result, trace = move_step(g, seed, z, u, 2)
-            ran += 1
-            assert seed <= result
-            assert len(result) <= len(seed) + 2
+            yield g, seed, z, u
+
+
+def test_move_step_exhaustive_small():
+    ran = 0
+    for g, seed, z, u in _move_step_corpus():
+        result, trace = move_step(g, seed, z, u, 2)
+        ran += 1
+        assert seed <= result
+        assert len(result) <= len(seed) + 2
     assert ran > 200
+
+
+# sha256 of the public move_step results and traces on the corpus above,
+# as the reference implementation produced them
+MOVE_STEP_DIGEST = "b8d395490286732c0ffe9023be2a95cc20b679245437a19e30d6f964d3982854"
+
+
+def test_move_step_results_are_byte_stable():
+    h = hashlib.sha256()
+    for g, seed, z, u in _move_step_corpus():
+        result, trace = move_step(g, seed, z, u, 2)
+        h.update(json.dumps(sorted(result)).encode())
+        h.update(trace.to_json().encode())
+        h.update(b"\n")
+    assert h.hexdigest() == MOVE_STEP_DIGEST
 
 
 def _seed_components(g, members):

@@ -199,6 +199,9 @@ def test_parse_spec_list():
     specs = parse_spec_list("butterfly:3,3,1")
     assert len(specs) == 1
     assert from_spec(specs[0]) == butterfly(3, 3, 1)
+    # a name:params atom with an unknown name does not stop the ';' split
+    specs = parse_spec_list("P4;kbip:4,4")
+    assert [from_spec(spec) for spec in specs] == [path(4), complete_bipartite(4, 4)]
 
 
 def test_parse_spec_errors():

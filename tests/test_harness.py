@@ -83,6 +83,26 @@ def test_pruned_enumeration_matches_postfilter():
     }
 
 
+def test_enumeration_ignores_family_labels_and_order(monkeypatch):
+    # freeness is isomorphism-invariant, so a relabelled or reordered
+    # family yields the same levels; each family gets a cold cache here
+    from pocfvs import harness
+
+    def levels(family):
+        monkeypatch.setattr(harness, "_LEVEL_CACHE", {})
+        return [enumerate_connected(n, family) for n in range(1, 7)]
+
+    c4 = cycle(4)
+    for family, same in [
+        ((claw(),), (claw().relabel((3, 2, 0, 1)),)),
+        ((path(4), c4), (c4, path(4))),
+    ]:
+        first = levels(family)
+        assert first == levels(same)
+        # the family prunes: at n = 4 some connected graphs are dropped
+        assert len(first[3]) < 6
+
+
 def test_enumeration_limits():
     with pytest.raises(ResourceLimitError):
         enumerate_connected(10)

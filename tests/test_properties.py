@@ -5,7 +5,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pocfvs import Graph, disjoint_union, is_fvs
+from pocfvs import Graph, InvalidInputError, disjoint_union, is_fvs
+from pocfvs.generators import _FAMILIES, parse_spec_list
 from pocfvs.graph6 import decode, encode
 from pocfvs.iso import canonical_form
 from pocfvs.solvers import min_fvs
@@ -62,3 +63,30 @@ def test_union_component_additivity(g1, g2):
         g2.connected_components()
     )
     assert u.edge_count == g1.edge_count + g2.edge_count
+
+
+def _family_tags(spec):
+    if spec.family in ("union", "copies"):
+        assert spec.parts
+        for part in spec.parts:
+            yield from _family_tags(part)
+    else:
+        yield spec.family
+
+
+# arbitrary text, and text drawn from the spec grammar's own characters
+spec_texts = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="pcPCkbiltwadgrsy-:;,+*x() 0123456789", max_size=30),
+)
+
+
+@given(spec_texts)
+@settings(max_examples=300, deadline=None)
+def test_parse_spec_list_yields_known_families(text):
+    # the graphs are not built: a spec such as P99999999 is huge
+    try:
+        specs = parse_spec_list(text)
+    except InvalidInputError:
+        return
+    assert all(tag in _FAMILIES for spec in specs for tag in _family_tags(spec))
