@@ -149,10 +149,18 @@ def _cmd_classify_family(args) -> int:
     return EXIT_OK
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _cmd_connectify(args) -> int:
     g = load_graph(args.source)
     if args.method == "paths":
-        seed = min_fvs(g, args.limit).witness
+        seed = min_fvs(g).witness
         result, trace = connectify_by_paths(g, seed)
     elif args.method == "p5":
         result, trace = connectify_p5sp1(g, 0 if args.s is None else args.s)
@@ -161,8 +169,7 @@ def _cmd_connectify(args) -> int:
     print(f"connected FVS: {sorted(result)}")
     print(f"size: {len(result)}  certified bound: {trace.claimed_bound}")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_json())
+        _write(args.trace, trace.to_json())
         print(f"trace written to {args.trace}")
     return EXIT_OK
 
@@ -177,8 +184,7 @@ def _cmd_explore(args) -> int:
         report = max_poc(spec, args.limit)
     stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(stamp))
+        _write(args.out, report.to_json(stamp))
         print(f"report written to {args.out}")
         print(report.to_text().splitlines()[-1])
     else:
@@ -245,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("paths", "p5", "sp3"), required=True)
     p.add_argument("--s", type=int, default=None, help="sp3 default 2, p5 default 0")
     p.add_argument("--trace", default=None)
-    p.add_argument("--limit", type=int, default=None)
     p.set_defaults(func=_cmd_connectify)
 
     p = sub.add_parser("explore", help="ratio/difference experiment report")

@@ -26,22 +26,21 @@ them again, but keep every certificate. The cores hold vertex sets as
 bitmasks, as the graph core does; the public functions convert to
 frozensets at their boundary and traces record sorted tuples.
 
-Internal exhaustive subroutines (minimum covering subsets, smallest
-dominating cliques) are deliberate: the bounds require true minimality and
-the package only targets desk-scale inputs.
+Internal exhaustive minima (covering subsets, smallest dominating cliques)
+run the solvers' one subset search, ``first_subset``: the bounds require
+true minimality and the package only targets desk-scale inputs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .errors import ContradictionError, InvalidInputError
 from .generators import path
 from .graph import Graph, iter_bits
 from .iso import find_induced_embedding, is_free
-from .solvers import SolveResult, is_cfvs, is_fvs, min_cds, min_fvs
+from .solvers import SolveResult, first_subset, is_cfvs, is_fvs, min_cds, min_fvs
 
 
 @dataclass
@@ -154,19 +153,17 @@ def connectify_by_paths(g: Graph, s) -> tuple[frozenset[int], ProcedureTrace]:
 
 def _smallest_clique_or_p3_dominating(g: Graph) -> tuple[int, ...] | None:
     """Smallest dominating set inducing a complete graph or a 3-vertex path."""
-    closed = [g.closed_mask(v) for v in range(g.n)]
     full = g.full_mask
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            covered = 0
-            for v in combo:
-                covered |= closed[v]
-            if covered != full:
-                continue
-            sub, _ = g.induced_subgraph(combo)
-            if sub.is_complete() or (k == 3 and sub.edge_count == 2 and sub.is_connected()):
-                return combo
-    return None
+
+    def accept(m: int) -> bool:
+        if m | g.mask_reach(m) != full:
+            return False
+        k, edges = m.bit_count(), g.mask_edge_count(m)
+        # three vertices with two edges always induce a path
+        return edges == k * (k - 1) // 2 or (k == 3 and edges == 2)
+
+    m, _ = first_subset(full, accept, start=1)
+    return None if m is None else tuple(iter_bits(m))
 
 
 def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTrace]:
@@ -209,18 +206,14 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
     else:
         if s_param < 1:
             raise ContradictionError("a P_5 was found in a graph verified P_5-free")
-        p5_vertices = sorted(p5_hit.values())
-        shielded = 0
-        for v in p5_vertices:
-            shielded |= g.closed_mask(v)
-        outside = [v for v in range(g.n) if not (shielded >> v & 1)]
+        p5_mask = _mask_of(p5_hit.values())
         indep: list[int] = []
         taken = 0
-        for v in outside:
+        for v in iter_bits(g.full_mask & ~(p5_mask | g.mask_reach(p5_mask))):
             if not (g.mask(v) & taken):
                 indep.append(v)
                 taken |= 1 << v
-        trace.record("p5-and-independents", p5=p5_vertices, independent=indep)
+        trace.record("p5-and-independents", p5=iter_bits(p5_mask), independent=indep)
         if len(indep) > s_param - 1:
             raise ContradictionError(
                 f"maximal independent set outside the P_5 neighborhood has "
@@ -248,14 +241,6 @@ def _mask_of(vertices) -> int:
     return sum(1 << v for v in vertices)
 
 
-def _reach(g: Graph, vertices) -> int:
-    """Mask of every vertex adjacent to one of ``vertices``."""
-    out = 0
-    for v in vertices:
-        out |= g.mask(v)
-    return out
-
-
 def _component_of(g: Graph, members: int, anchor: int) -> int:
     """The component of the subgraph induced by ``members`` that holds ``anchor``."""
     if not (members >> anchor & 1):
@@ -263,15 +248,12 @@ def _component_of(g: Graph, members: int, anchor: int) -> int:
     return g.mask_component(anchor, members)
 
 
-def _min_cover(universe, groups: list[int], g: Graph) -> tuple[int, ...]:
+def _min_cover(g: Graph, universe: int, groups: list[int]) -> int:
     """Lexicographically first minimum subset of ``universe`` touching every group."""
-    universe = sorted(universe)
-    for k in range(len(universe) + 1):
-        for combo in combinations(universe, k):
-            reach = _reach(g, combo)
-            if all(reach & grp for grp in groups):
-                return combo
-    raise ContradictionError("no covering subset exists; groups are not all adjacent")
+    m, _ = first_subset(universe, lambda c: all(g.mask_reach(c) & grp for grp in groups))
+    if m is None:
+        raise ContradictionError("no covering subset exists; groups are not all adjacent")
+    return m
 
 
 def move_step(
@@ -308,7 +290,7 @@ def move_step(
         raise InvalidInputError(f"z must contain an induced {s_param - 1}*P_3")
     if u_mask & s_mask:
         raise InvalidInputError("u must be disjoint from the seed set")
-    if _reach(g, u_mem) & u_mask:
+    if g.mask_reach(u_mask) & u_mask:
         raise InvalidInputError("u must be an independent set")
     moved, trace = _move_step(g, s_mask, z_mask, u_mask, s_param, is_fvs(g, s_mem))
     return frozenset(iter_bits(moved)), trace
@@ -331,58 +313,58 @@ def _move_step(
         else:
             trace.record(stage, current=iter_bits(s_cur))
 
-    u_reach = _reach(g, iter_bits(u_mask))
+    u_reach = g.mask_reach(u_mask)
     comps_a = [c for c in g.mask_components(s_mask) if c != z_mask and c & u_reach]
     # components are disjoint, so their sum is their union
     trace.record("collect", z=iter_bits(z_mask), u=iter_bits(u_mask), a=iter_bits(sum(comps_a)))
     if comps_a:
-        u1 = _min_cover(iter_bits(u_mask), comps_a, g)
+        u1 = _min_cover(g, u_mask, comps_a)
         # a private component of u is adjacent to no other cover vertex
         a1: set[int] = set()
-        for u in u1:
-            rivals = _reach(g, (w for w in u1 if w != u))
+        for u in iter_bits(u1):
+            rivals = g.mask_reach(u1 & ~(1 << u))
             mine = [c for c in comps_a if g.mask(u) & c and not rivals & c]
             if not mine:
                 raise ContradictionError("a minimum cover vertex lost its private component")
             a1.add(mine[0])
         a2 = [c for c in comps_a if c not in a1]
-        u2 = _min_cover(u1, a2, g) if a2 else ()
-        if len(u2) > s_param - 1:
+        u2 = _min_cover(g, u1, a2)
+        if u2.bit_count() > s_param - 1:
             raise ContradictionError(
-                f"second cover has {len(u2)} vertices; at most {s_param - 1} are possible"
+                f"second cover has {u2.bit_count()} vertices; at most {s_param - 1} are possible"
             )
-        for u in u2:
+        for u in iter_bits(u2):
             if not g.mask(u) & z_mask:
                 raise ContradictionError(
                     "a vertex adjacent to two component layers must reach the hub component"
                 )
-        s_cur |= _mask_of(u2)
-        trace.record("move-u2", u1=u1, u2=u2)
+        s_cur |= u2
+        trace.record("move-u2", u1=iter_bits(u1), u2=iter_bits(u2))
         note_growth("after-u2")
 
-        remaining = [c for c in comps_a if not c & _reach(g, u2)]
+        remaining = [c for c in comps_a if not c & g.mask_reach(u2)]
         for c in remaining:
             if c not in a1:
                 raise ContradictionError("an unabsorbed component is not private to the cover")
-        u3 = list(iter_bits(u_mask & ~_mask_of(u1)))
-        a3 = [c for c in remaining if c & _reach(g, u3)]
-        u4 = _min_cover(u3, a3, g) if a3 else ()
-        if len(u4) > s_param - 1:
+        u3 = u_mask & ~u1
+        a3 = [c for c in remaining if c & g.mask_reach(u3)]
+        u4 = _min_cover(g, u3, a3)
+        if u4.bit_count() > s_param - 1:
             raise ContradictionError(
-                f"third cover has {len(u4)} vertices; at most {s_param - 1} are possible"
+                f"third cover has {u4.bit_count()} vertices; at most {s_param - 1} are possible"
             )
         z_now = _component_of(g, s_cur, anchor)
-        w_set = [u for u in u4 if sum(1 for c in a3 if g.mask(u) & c) >= 2]
-        for u in w_set:
+        w_set = _mask_of(u for u in iter_bits(u4) if sum(1 for c in a3 if g.mask(u) & c) >= 2)
+        for u in iter_bits(w_set):
             if not g.mask(u) & z_now:
                 raise ContradictionError(
                     "a vertex adjacent to two private components must reach the hub component"
                 )
         for c in a3:
-            if _reach(g, w_set) & c:
+            if g.mask_reach(w_set) & c:
                 continue
-            owners = [u for u in u1 if u not in u2 and g.mask(u) & c]
-            helpers = [u for u in u4 if u not in w_set and g.mask(u) & c]
+            owners = [u for u in iter_bits(u1 & ~u2) if g.mask(u) & c]
+            helpers = [u for u in iter_bits(u4 & ~w_set) if g.mask(u) & c]
             if not owners or not helpers:
                 raise ContradictionError("a private component lost its two-sided attachment")
             candidates = [v for v in sorted(owners + helpers) if g.mask(v) & z_now]
@@ -390,13 +372,13 @@ def _move_step(
                 raise ContradictionError(
                     "neither attachment of a private component reaches the hub component"
                 )
-            w_set.append(candidates[0])
-        if len(w_set) > s_param - 1:
+            w_set |= 1 << candidates[0]
+        if w_set.bit_count() > s_param - 1:
             raise ContradictionError(
-                f"relay set has {len(w_set)} vertices; at most {s_param - 1} are possible"
+                f"relay set has {w_set.bit_count()} vertices; at most {s_param - 1} are possible"
             )
-        s_cur |= _mask_of(w_set)
-        trace.record("move-w", u3=u3, u4=u4, w=w_set)
+        s_cur |= w_set
+        trace.record("move-w", u3=iter_bits(u3), u4=iter_bits(u4), w=iter_bits(w_set))
         note_growth("after-w")
     else:
         trace.record("noop", note="no outside component touches u")

@@ -225,10 +225,6 @@ class PairSet:
         params = [v for region in self.regions for v in region[1:]]
         return max(4, max(params, default=3) + 1)
 
-    def is_universal(self) -> bool:
-        bound = self.test_bound()
-        return all(self.contains(i, j) for i in range(3, bound + 1) for j in range(3, bound + 1))
-
     def first_uncovered(self) -> tuple[int, int] | None:
         bound = self.test_bound()
         for i in range(3, bound + 1):
@@ -299,7 +295,8 @@ def family_covers_all(family) -> ClassificationResult:
     union = PairSet.empty()
     for h in family:
         union = union.union(covered_pairs(h))
-    if union.is_universal():
+    pair = union.first_uncovered()
+    if pair is None:
         n_ctx = CoverContext.for_graphs(family).N
         return ClassificationResult(
             verdict="bounded",
@@ -307,7 +304,6 @@ def family_covers_all(family) -> ClassificationResult:
             reason="every pair (i, j) with i, j >= 3 is covered",
             constant=4 * n_ctx,
         )
-    pair = union.first_uncovered()
     i, j = pair
     return ClassificationResult(
         verdict="unbounded",

@@ -222,6 +222,13 @@ _COMPACT = re.compile(r"^(\d*)\s*([pc])\s*(\d+)$", re.IGNORECASE)
 _PREFIXED = re.compile(r"^(\d+)\s*[*x]?\s*\(?(.*?)\)?$")
 
 
+def _spec_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # int() refuses digit runs longer than about 4,300
+        raise InvalidInputError(f"graph spec number has {len(digits)} digits, too many") from None
+
+
 def _parse_atom(text: str) -> FamilySpec:
     text = text.strip()
     if not text:
@@ -230,9 +237,9 @@ def _parse_atom(text: str) -> FamilySpec:
     if m:
         count, kind, size = m.groups()
         fam = "path" if kind.lower() == "p" else "cycle"
-        atom = FamilySpec(fam, (int(size),))
+        atom = FamilySpec(fam, (_spec_int(size),))
         if count:
-            return FamilySpec("copies", (int(count),), (atom,))
+            return FamilySpec("copies", (_spec_int(count),), (atom,))
         return atom
     if ":" in text:
         name, _, raw = text.partition(":")
@@ -247,7 +254,7 @@ def _parse_atom(text: str) -> FamilySpec:
         return FamilySpec(name, params)
     m = _PREFIXED.match(text)
     if m and m.group(1) and m.group(2):
-        return FamilySpec("copies", (int(m.group(1)),), (_parse_atom(m.group(2)),))
+        return FamilySpec("copies", (_spec_int(m.group(1)),), (_parse_atom(m.group(2)),))
     name = _ALIASES.get(text.lower(), text.lower())
     if name in _FAMILIES and _FAMILIES[name][1] == 0:
         return FamilySpec(name)

@@ -144,15 +144,21 @@ class Graph:
 
     # -- connectivity and cycles ------------------------------------------
 
+    def mask_reach(self, mask: int) -> int:
+        """Bitmask of every vertex adjacent to a vertex of ``mask``."""
+        reach = 0
+        while mask:
+            low = mask & -mask
+            reach |= self._masks[low.bit_length() - 1]
+            mask ^= low
+        return reach
+
     def mask_component(self, start: int, mask: int) -> int:
         """Bitmask of the component of ``start`` inside the induced ``mask``."""
         comp = 1 << start
         frontier = comp
         while frontier:
-            reach = 0
-            for v in iter_bits(frontier):
-                reach |= self._masks[v]
-            frontier = reach & mask & ~comp
+            frontier = self.mask_reach(frontier) & mask & ~comp
             comp |= frontier
         return comp
 

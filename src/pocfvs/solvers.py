@@ -5,8 +5,10 @@ exhaustive search whose optimality follows from its search order alone:
 
 * ``min_fvs`` deepens on the solution size and branches on the vertices of
   a shortest cycle (every feedback vertex set must hit every cycle).
-* ``min_cfvs``, ``min_ds`` and ``min_cds`` enumerate candidate subsets in
-  increasing cardinality and return the first feasible one.
+* ``min_cfvs``, ``min_ds``, ``min_cds`` and ``normalize_min_fvs`` all run
+  the one subset search, :func:`first_subset`: candidate vertex sets in
+  increasing cardinality, lexicographically within a size, and the first
+  feasible one wins. The constructive module's exhaustive minima use it too.
 
 Ratios are exact rationals; nothing here touches floating point.
 """
@@ -43,7 +45,11 @@ def _guard(g: Graph, limit: int | None) -> None:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimum value, one optimal witness, and the search effort."""
+    """Optimum value, one optimal witness, and the search effort.
+
+    ``explored`` counts the candidate sets examined, the empty set included
+    wherever it is tried; in ``min_fvs`` it counts search nodes instead.
+    """
 
     optimum: int
     witness: frozenset[int]
@@ -141,45 +147,50 @@ def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
     raise ContradictionError("removing all vertices must leave a forest")
 
 
+def first_subset(universe_mask: int, accept, start: int = 0, stop: int | None = None):
+    """First subset of ``universe_mask`` that ``accept`` takes, as a vertex mask.
+
+    Subsets are tried by size from ``start`` to ``stop`` (default: all of
+    the universe), lexicographically within a size. Returns the accepted
+    mask, or ``None``, together with the number of subsets tried.
+    """
+    bits = [1 << v for v in iter_bits(universe_mask)]
+    if stop is None:
+        stop = len(bits)
+    explored = 0
+    for k in range(start, stop + 1):
+        for m in map(sum, combinations(bits, k)):
+            explored += 1
+            if accept(m):
+                return m, explored
+    return None, explored
+
+
 def min_cfvs(g: Graph, limit: int | None = None) -> SolveResult:
     """Minimum connected feedback vertex set of a connected graph.
 
-    The empty set counts as connected, so forests solve to 0. Candidate
-    subsets are enumerated lexicographically in increasing cardinality.
+    The empty set counts as connected, so forests solve to 0.
     """
     _guard(g, limit)
     if not g.is_connected():
         raise InvalidInputError("connected feedback vertex set needs a connected graph")
     full = g.full_mask
-    explored = 1
-    if g.mask_is_acyclic(full):
-        return SolveResult(0, frozenset(), explored)
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            explored += 1
-            m = sum(1 << v for v in combo)
-            if not g.mask_is_connected(m):
-                continue
-            if g.mask_is_acyclic(full & ~m):
-                return SolveResult(k, frozenset(combo), explored)
-    raise ContradictionError("the full vertex set is always a connected FVS")
+    m, explored = first_subset(
+        full, lambda c: (not c or g.mask_is_connected(c)) and g.mask_is_acyclic(full & ~c)
+    )
+    if m is None:
+        raise ContradictionError("the full vertex set is always a connected FVS")
+    return SolveResult(m.bit_count(), frozenset(iter_bits(m)), explored)
 
 
 def min_ds(g: Graph, limit: int | None = None) -> SolveResult:
-    """Minimum dominating set by increasing-cardinality enumeration."""
+    """Minimum dominating set."""
     _guard(g, limit)
     full = g.full_mask
-    closed = [g.closed_mask(v) for v in range(g.n)]
-    explored = 0
-    for k in range(g.n + 1):
-        for combo in combinations(range(g.n), k):
-            explored += 1
-            covered = 0
-            for v in combo:
-                covered |= closed[v]
-            if covered == full:
-                return SolveResult(k, frozenset(combo), explored)
-    raise ContradictionError("the full vertex set always dominates")
+    m, explored = first_subset(full, lambda c: c | g.mask_reach(c) == full)
+    if m is None:
+        raise ContradictionError("the full vertex set always dominates")
+    return SolveResult(m.bit_count(), frozenset(iter_bits(m)), explored)
 
 
 def min_cds(g: Graph, limit: int | None = None) -> SolveResult:
@@ -188,19 +199,12 @@ def min_cds(g: Graph, limit: int | None = None) -> SolveResult:
     if not g.is_connected():
         raise InvalidInputError("connected dominating set needs a connected graph")
     full = g.full_mask
-    closed = [g.closed_mask(v) for v in range(g.n)]
-    explored = 0
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            explored += 1
-            covered = 0
-            for v in combo:
-                covered |= closed[v]
-            if covered != full:
-                continue
-            if g.mask_is_connected(sum(1 << v for v in combo)):
-                return SolveResult(k, frozenset(combo), explored)
-    raise ContradictionError("a connected graph is its own connected dominating set")
+    m, explored = first_subset(
+        full, lambda c: c | g.mask_reach(c) == full and g.mask_is_connected(c), start=1
+    )
+    if m is None:
+        raise ContradictionError("a connected graph is its own connected dominating set")
+    return SolveResult(m.bit_count(), frozenset(iter_bits(m)), explored)
 
 
 def is_fvs(g: Graph, s) -> bool:
@@ -241,13 +245,13 @@ def normalize_min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
     if g.is_cycle_graph():
         raise InvalidInputError("normalization is undefined for cycles")
     k = min_fvs(g, limit).optimum
-    explored = 0
-    for combo in combinations(range(g.n), k):
-        explored += 1
-        if not is_fvs(g, combo):
-            continue
-        if all(g.degree(v) >= 3 and lies_on_cycle(g, v) for v in combo):
-            return SolveResult(k, frozenset(combo), explored)
+    full = g.full_mask
+    good = sum(1 << v for v in range(g.n) if g.degree(v) >= 3 and lies_on_cycle(g, v))
+    m, explored = first_subset(
+        full, lambda c: not c & ~good and g.mask_is_acyclic(full & ~c), start=k, stop=k
+    )
+    if m is not None:
+        return SolveResult(k, frozenset(iter_bits(m)), explored)
     raise ContradictionError(
         "no minimum feedback vertex set with all vertices of degree >= 3 on cycles; "
         f"graph n={g.n} edges={g.edges()}"

@@ -128,6 +128,11 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("solve", f"file:{missing}"),
         ("explore", "--g6-in", missing),
         ("connectify", "kbip:3,4", "--method", "sp3", "--s", "0"),
+        ("solve", "P" + "9" * 5000),
+        ("solve", "9" * 5000 + "P3"),
+        ("solve", "9" * 5000 + "*claw"),
+        ("connectify", "kbip:3,4", "--method", "sp3", "--trace", str(tmp_path / "no" / "t.json")),
+        ("explore", "--n-max", "3", "--out", str(tmp_path / "no" / "r.json")),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -138,6 +143,15 @@ def test_resource_limit_exit_code(capsys):
     code, _, err = run(capsys, "solve", "gprime:3", "--cfvs")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_connectify_limit_comes_from_the_environment(capsys, monkeypatch):
+    monkeypatch.delenv("POCFVS_LIMIT", raising=False)
+    code, _, err = run(capsys, "connectify", "kbip:3,19", "--method", "sp3")
+    assert code == 3 and "exhaustive limit is 20" in err
+    monkeypatch.setenv("POCFVS_LIMIT", "30")
+    code, out, _ = run(capsys, "connectify", "kbip:3,19", "--method", "sp3")
+    assert code == 0 and "connected FVS" in out
 
 
 def test_precondition_exit_code(capsys):

@@ -330,3 +330,25 @@ def test_sp3_traces_are_byte_stable():
     assert _trace_digest((g, s) for g in corpus for s in (2, 3)) == CORPUS_TRACE_DIGEST
     pinned = SWAP_CASES + SECOND_COVER_CASES + ABSORB_CASES
     assert _trace_digest((decode(code), s) for code, s in pinned) == PINNED_TRACE_DIGEST
+
+
+# sha256 of the connectify_p5sp1 traces at s = 0 and 1 on every connected
+# (P_5 + s*P_1)-free graph with n <= 7, as the reference implementation
+# wrote them
+P5SP1_TRACE_DIGEST = "3a02851698c6ce0ec7307644c0c0d929607ad26348488f4784d810b2eaef8d93"
+
+
+def test_p5sp1_traces_are_byte_stable():
+    h = hashlib.sha256()
+    runs = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            for s in (0, 1):
+                if not is_free(g, [path(5) + s * path(1)]):
+                    continue
+                _, trace = connectify_p5sp1(g, s)
+                h.update(trace.to_json().encode())
+                h.update(b"\n")
+                runs += 1
+    assert runs == 1615
+    assert h.hexdigest() == P5SP1_TRACE_DIGEST

@@ -91,8 +91,8 @@ def test_pairset_primitives():
     minmax = PairSet(frozenset({("minmax", 4, 6)}))
     assert minmax.contains(4, 6) and minmax.contains(7, 7)
     assert not minmax.contains(3, 9) and not minmax.contains(4, 5)
-    assert PairSet.universe().is_universal()
-    assert not PairSet.empty().is_universal()
+    assert PairSet.universe().first_uncovered() is None
+    assert PairSet.empty().first_uncovered() is not None
     assert PairSet.empty().first_uncovered() == (3, 3)
     with pytest.raises(InvalidInputError):
         row.contains(2, 3)
@@ -100,7 +100,7 @@ def test_pairset_primitives():
 
 def test_pairset_union_and_bound():
     u = PairSet(frozenset({("row", 3)})).union(PairSet(frozenset({("minmax", 4, 4)})))
-    assert u.is_universal()
+    assert u.first_uncovered() is None
     assert u.test_bound() >= 5
     partial = PairSet(frozenset({("row", 3)})).union(PairSet(frozenset({("maxge", 6)})))
     assert partial.first_uncovered() == (4, 4)

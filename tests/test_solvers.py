@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -169,3 +171,35 @@ def test_empty_and_tiny_graphs():
     assert is_cfvs(path(3), ())
     assert not is_cfvs(cycle(3), ())
     assert is_cfvs(cycle(3), (1,))
+
+
+def _solver_digest(rows):
+    h = hashlib.sha256()
+    for res in rows:
+        h.update(json.dumps([res.optimum, sorted(res.witness), res.explored]).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# sha256 of (optimum, sorted witness, explored) as the reference
+# implementation returned them; a changed witness or count fails here
+SOLVER_DIGESTS = {
+    "min_cfvs": "41b104d781e09e94d1c9e40d936d7d25fca95cee4ec433982bb41f6c9d70bbd2",
+    "min_ds": "be60740165bca64d61bb09565f16a53c461740174de7769b4b67307135f96229",
+    "min_cds": "01de7f13cba6f260b45e6d29fd01b2326852bce9b7f934ccb69c1e2ae5a513ec",
+    "normalize_min_fvs": "a5ce10af1e16a3aa069319a5032d46b5683eb46383d1df7e706f586452b69df9",
+}
+
+
+def test_solver_witnesses_are_byte_stable():
+    corpus = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    assert len(corpus) == 996
+    normalizable = [g for g in corpus if not g.is_cycle_graph() and not g.is_acyclic()]
+    assert len(normalizable) == 966
+    digests = {
+        "min_cfvs": _solver_digest(min_cfvs(g) for g in corpus),
+        "min_ds": _solver_digest(min_ds(g) for g in corpus),
+        "min_cds": _solver_digest(min_cds(g) for g in corpus),
+        "normalize_min_fvs": _solver_digest(normalize_min_fvs(g) for g in normalizable),
+    }
+    assert digests == SOLVER_DIGESTS
