@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -101,6 +102,45 @@ def test_enumeration_ignores_family_labels_and_order(monkeypatch):
         assert first == levels(same)
         # the family prunes: at n = 4 some connected graphs are dropped
         assert len(first[3]) < 6
+
+
+# sha256 of every level's (n, edge list), in order, as the reference
+# implementation enumerated them; a changed representative, vertex label
+# or level order fails here
+LEVEL_DIGESTS = {
+    "unfiltered": "5afcdf32e65f912d1036f8562c78fed75b4bcf98c141dda2eb81bc660a8860b6",
+    "P3": "ce6f307299615cec7fa1cfb44ba5213b3264ae07a3ebe2c40b213fcc86a21b5d",
+    "P5": "32ea2744ad10ad07f41e49f218702a96a4cf31aade117504930796dca7322aed",
+    "2P3": "0aa3696092585e97d1883fcbf4c5409c04b0b49f114fd4899c0afa8b925f476d",
+    "P4": "d3f2e0018d1a2733cde84c9acede937ccf34924362e217526d05a5a4ec920243",
+    "P5+P1": "c44d43e5c4041e4ff078006c295ca1c7aa1471271b83ae0774df8dd8b1d07454",
+    "claw": "15c5c73995085186db095f07255166805cd5255423b88441186f0863bac5e619",
+    "P4,C4": "40df1bd6ebd0f13787dbbc96f2690f7883e746066ba5d88d0942e866e205a8f8",
+}
+
+
+def _level_digest(family, n_max):
+    h = hashlib.sha256()
+    for n in range(1, n_max + 1):
+        level = [(g.n, g.edges()) for g in enumerate_connected(n, family)]
+        h.update(json.dumps(level).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_enumeration_levels_are_byte_stable():
+    families = {
+        "unfiltered": ((), 8),
+        "P3": ((path(3),), 8),
+        "P5": ((path(5),), 7),
+        "2P3": ((2 * path(3),), 8),
+        "P4": ((path(4),), 8),
+        "P5+P1": ((path(5) + path(1),), 7),
+        "claw": ((claw(),), 6),
+        "P4,C4": ((path(4), cycle(4)), 6),
+    }
+    digests = {name: _level_digest(family, n_max) for name, (family, n_max) in families.items()}
+    assert digests == LEVEL_DIGESTS
 
 
 def test_enumeration_limits():
