@@ -80,7 +80,7 @@ def _cmd_solve(args) -> int:
     else:
         print(f"{args.quantity}({args.source}) = {res.optimum}")
         print(f"witness: {sorted(res.witness)}")
-        print(f"search nodes: {res.explored}")
+        print(f"explored: {res.explored}")
     return EXIT_OK
 
 

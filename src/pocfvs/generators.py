@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .graph import Graph, disjoint_union
 
 
@@ -149,19 +149,26 @@ def gprime(*t: int) -> Graph:
 
 # -- family specs ----------------------------------------------------------
 
+# name -> (constructor, parameter count or None, vertex count from the parameters)
 _FAMILIES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "butterfly": (butterfly, 3),
-    "spider": (spider, 3),
-    "tadpole": (tadpole, 2),
-    "hourglass-chain": (hourglass_chain, 1),
-    "complete-bipartite": (complete_bipartite, 2),
-    "threeP1-witness": (three_p1_witness, 0),
-    "hourglass": (hourglass, 0),
-    "claw": (claw, 0),
-    "gprime": (gprime, None),  # 1 or 6 parameters
+    "path": (path, 1, lambda k: k),
+    "cycle": (cycle, 1, lambda r: r),
+    "butterfly": (butterfly, 3, lambda i, j, k: i + j + k - 1),
+    "spider": (spider, 3, lambda k, p, q: k + p + q + 1),
+    "tadpole": (tadpole, 2, lambda k, r: k + r),
+    "hourglass-chain": (hourglass_chain, 1, lambda k: 5 * k + 1),
+    "complete-bipartite": (complete_bipartite, 2, lambda m, n: m + n),
+    "threeP1-witness": (three_p1_witness, 0, lambda: 6),
+    "hourglass": (hourglass, 0, lambda: 5),
+    "claw": (claw, 0, lambda: 4),
+    # 1 or 6 parameters
+    "gprime": (gprime, None, lambda *t: 3 + sum(t) * (6 if len(t) == 1 else 1)),
 }
+
+# specs describing more vertices fail before anything is built; every vertex
+# stores an n-bit adjacency mask, and the induced matcher recurses once per
+# pattern vertex, which overflows the interpreter stack near 985
+MAX_SPEC_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -185,23 +192,42 @@ class FamilySpec:
         return self.family
 
 
-def from_spec(spec: FamilySpec) -> Graph:
+def _spec_order(spec: FamilySpec) -> int:
+    """Vertex count of ``spec``'s graph, checked against the limit at every node."""
+    if spec.family == "union":
+        n = sum(_spec_order(part) for part in spec.parts)
+    elif spec.family == "copies":
+        n = spec.params[0] * _spec_order(spec.parts[0])
+    else:
+        try:
+            _, arity, order = _FAMILIES[spec.family]
+        except KeyError:
+            raise InvalidInputError(f"unknown family {spec.family!r}") from None
+        if arity is not None and len(spec.params) != arity:
+            raise InvalidInputError(
+                f"family {spec.family!r} takes {arity} parameters, got {len(spec.params)}"
+            )
+        n = order(*spec.params)
+    if n > MAX_SPEC_ORDER:
+        raise ResourceLimitError(f"graph spec has more than {MAX_SPEC_ORDER} vertices")
+    return n
+
+
+def _build(spec: FamilySpec) -> Graph:
     if spec.family == "union":
         out = Graph(0)
         for part in spec.parts:
-            out = disjoint_union(out, from_spec(part))
+            out = disjoint_union(out, _build(part))
         return out
     if spec.family == "copies":
-        return spec.params[0] * from_spec(spec.parts[0])
-    try:
-        fn, arity = _FAMILIES[spec.family]
-    except KeyError:
-        raise InvalidInputError(f"unknown family {spec.family!r}") from None
-    if arity is not None and len(spec.params) != arity:
-        raise InvalidInputError(
-            f"family {spec.family!r} takes {arity} parameters, got {len(spec.params)}"
-        )
-    return fn(*spec.params)
+        return spec.params[0] * _build(spec.parts[0])
+    return _FAMILIES[spec.family][0](*spec.params)
+
+
+def from_spec(spec: FamilySpec) -> Graph:
+    """Build ``spec``'s graph, after its vertex count is checked without building it."""
+    _spec_order(spec)
+    return _build(spec)
 
 
 _ALIASES = {

@@ -3,11 +3,12 @@
 Connected graphs are generated size by size: every connected graph on n+1
 vertices arises from a connected graph on n vertices by attaching a new
 vertex to a nonempty neighborhood, so each level is built from the
-previous one and deduplicated through canonical forms. Forbidden-family
-filters prune during growth, which is sound because freeness is hereditary.
-Levels are cached for the lifetime of the process, keyed by the order and
-the forbidden graphs as given; the experiment drivers lean on that cache
-heavily. A relabelled isomorphic family misses it and is enumerated afresh.
+previous one and deduplicated through canonical forms. This growth runs
+once per order, and its levels are cached for the lifetime of the process,
+keyed by the order alone; the experiment drivers lean on that cache
+heavily. A forbidden family is applied by filtering the cached level.
+Because freeness is hereditary, that keeps exactly the representatives a
+growth restricted to free graphs would find.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .graph import Graph
 from .iso import canonical_form, canonical_graph, embeds_induced, is_free, is_linear_forest
 from .solvers import min_cfvs, min_fvs
 
-MAX_ENUMERATION_ORDER = 9
+MAX_ENUMERATION_ORDER = 8
 
-_LEVEL_CACHE: dict[tuple[int, frozenset[Graph]], list[Graph]] = {}
+_LEVEL_CACHE: dict[int, list[Graph]] = {}
 
 
 @dataclass(frozen=True)
@@ -56,30 +57,22 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
     if n > MAX_ENUMERATION_ORDER:
         raise ResourceLimitError(f"internal enumeration stops at {MAX_ENUMERATION_ORDER}")
     forbidden = tuple(forbidden)
-    key = (n, frozenset(forbidden))
-    if key in _LEVEL_CACHE:
-        return _LEVEL_CACHE[key]
-    if n == 1:
-        single = Graph(1)
-        level = [single] if is_free(single, forbidden) else []
-    else:
-        prev = enumerate_connected(n - 1, forbidden)
-        seen: dict[tuple, Graph] = {}
-        base = n - 1
-        for g in prev:
-            old_edges = g.edges()
-            for mask in range(1, 1 << base):
-                extra = [(v, base) for v in range(base) if mask >> v & 1]
-                h = Graph(n, old_edges + tuple(extra))
-                ck = canonical_form(h).key
-                if ck in seen:
-                    continue
-                if forbidden and not is_free(h, forbidden):
-                    continue
-                seen[ck] = h
-        level = [seen[k] for k in sorted(seen)]
-    _LEVEL_CACHE[key] = level
-    return level
+    if forbidden:
+        return [g for g in enumerate_connected(n) if is_free(g, forbidden)]
+    if n not in _LEVEL_CACHE:
+        if n == 1:
+            _LEVEL_CACHE[n] = [Graph(1)]
+        else:
+            seen: dict[tuple, Graph] = {}
+            base = n - 1
+            for g in enumerate_connected(base):
+                old_edges = g.edges()
+                for mask in range(1, 1 << base):
+                    extra = [(v, base) for v in range(base) if mask >> v & 1]
+                    h = Graph(n, old_edges + tuple(extra))
+                    seen.setdefault(canonical_form(h).key, h)
+            _LEVEL_CACHE[n] = [seen[k] for k in sorted(seen)]
+    return _LEVEL_CACHE[n]
 
 
 def enumerate_connected_upto(n_max: int, forbidden=()) -> list[Graph]:

@@ -140,9 +140,16 @@ def test_input_error_exit_code(capsys, tmp_path):
 
 
 def test_resource_limit_exit_code(capsys):
-    code, _, err = run(capsys, "solve", "gprime:3", "--cfvs")
-    assert code == 3
-    assert "resource limit" in err
+    for argv in [
+        ("solve", "gprime:3", "--cfvs"),
+        ("solve", "200000P3"),
+        ("solve", "butterfly:3,3,1000000000"),
+        ("covers", "P990", "3", "3", "--brute"),
+        ("explore", "--n-max", "9"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert err.startswith("resource limit") and err.count("\n") == 1, argv
 
 
 def test_connectify_limit_comes_from_the_environment(capsys, monkeypatch):

@@ -143,13 +143,33 @@ def test_enumeration_levels_are_byte_stable():
     assert digests == LEVEL_DIGESTS
 
 
+def test_enumeration_and_canonical_keys_match_the_networkx_atlas():
+    # independent oracle: the atlas lists every graph on up to 7 vertices
+    # exactly once, with its own isomorphism classes
+    nx = pytest.importorskip("networkx")
+    atlas = [Graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()]
+    keys = [canonical_form(g).key for g in atlas]
+    assert len(atlas) == 1253
+    assert len(set(keys)) == len(keys)
+    counts = []
+    for n in range(1, 8):
+        connected = {k for g, k in zip(atlas, keys) if g.n == n and g.is_connected()}
+        assert connected == {canonical_form(g).key for g in enumerate_connected(n)}
+        counts.append(len(connected))
+    assert counts == [1, 1, 2, 6, 21, 112, 853]
+
+
 def test_enumeration_limits():
     with pytest.raises(ResourceLimitError):
         enumerate_connected(10)
+    with pytest.raises(ResourceLimitError):
+        enumerate_connected(9)
     with pytest.raises(InvalidInputError):
         enumerate_connected(0)
     with pytest.raises(ResourceLimitError):
         EnumerationSpec(n_max=12)
+    with pytest.raises(ResourceLimitError):
+        EnumerationSpec(n_max=9)
     with pytest.raises(InvalidInputError):
         EnumerationSpec(n_max=0)
 

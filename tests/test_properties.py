@@ -5,8 +5,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pocfvs import Graph, InvalidInputError, disjoint_union, is_fvs
-from pocfvs.generators import _FAMILIES, parse_spec_list
+from pocfvs import Graph, InvalidInputError, ResourceLimitError, disjoint_union, is_fvs
+from pocfvs.generators import _FAMILIES, from_spec, parse_spec_list
 from pocfvs.graph6 import decode, encode
 from pocfvs.iso import canonical_form
 from pocfvs.solvers import min_fvs
@@ -84,9 +84,15 @@ spec_texts = st.one_of(
 @given(spec_texts)
 @settings(max_examples=300, deadline=None)
 def test_parse_spec_list_yields_known_families(text):
-    # the graphs are not built: a spec such as P99999999 is huge
     try:
         specs = parse_spec_list(text)
     except InvalidInputError:
         return
     assert all(tag in _FAMILIES for spec in specs for tag in _family_tags(spec))
+    # a spec such as P99999999 must fail before it is built
+    for spec in specs:
+        try:
+            g = from_spec(spec)
+        except (InvalidInputError, ResourceLimitError):
+            continue
+        assert g.n <= 512
