@@ -32,6 +32,20 @@ def test_graph_rejects_bad_edges():
         Graph(-1)
 
 
+def test_vertex_sets_are_validated():
+    g = cycle(5)
+    for bad in ((5,), (0, -1), (1.0,), ("2",), (2, None)):
+        with pytest.raises(InvalidInputError):
+            g.induced_subgraph(bad)
+        with pytest.raises(InvalidInputError):
+            g.without(bad)
+    for u, v in ((0, 5), (-1, 2), (0, 1.0), ("0", 2)):
+        with pytest.raises(InvalidInputError):
+            g.shortest_path(u, v)
+        with pytest.raises(InvalidInputError):
+            g.shortest_path(v, u)
+
+
 def test_parallel_edges_collapse():
     g = Graph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1

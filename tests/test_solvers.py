@@ -173,17 +173,33 @@ def test_empty_and_tiny_graphs():
     assert is_cfvs(cycle(3), (1,))
 
 
-def _solver_digest(rows):
+def test_fvs_checks_reject_bad_vertex_sets():
+    g = cycle(5)
+    for bad in ((5,), (0, -1), (1.0,), ("2",), (2, None)):
+        with pytest.raises(InvalidInputError):
+            is_fvs(g, bad)
+        with pytest.raises(InvalidInputError):
+            is_cfvs(g, bad)
+
+
+def _digest(rows):
     h = hashlib.sha256()
-    for res in rows:
-        h.update(json.dumps([res.optimum, sorted(res.witness), res.explored]).encode())
+    for row in rows:
+        h.update(json.dumps(row).encode())
         h.update(b"\n")
     return h.hexdigest()
 
 
-# sha256 of (optimum, sorted witness, explored) as the reference
-# implementation returned them; a changed witness or count fails here
+def _solver_digest(results):
+    return _digest([res.optimum, sorted(res.witness), res.explored] for res in results)
+
+
+# sha256 of (optimum, sorted witness, explored), and of the sorted shortest
+# cycle or None, as the reference implementation returned them; a changed
+# witness, cycle or count fails here
 SOLVER_DIGESTS = {
+    "min_fvs": "23aa64984d764295bf4e940fb7514455228b766c2febb6513b219e749af21c33",
+    "shortest_cycle": "0c610421baa295c9bf4ec42dea48631598b63dea6501f52f95e7d59d83315c72",
     "min_cfvs": "41b104d781e09e94d1c9e40d936d7d25fca95cee4ec433982bb41f6c9d70bbd2",
     "min_ds": "be60740165bca64d61bb09565f16a53c461740174de7769b4b67307135f96229",
     "min_cds": "01de7f13cba6f260b45e6d29fd01b2326852bce9b7f934ccb69c1e2ae5a513ec",
@@ -197,6 +213,8 @@ def test_solver_witnesses_are_byte_stable():
     normalizable = [g for g in corpus if not g.is_cycle_graph() and not g.is_acyclic()]
     assert len(normalizable) == 966
     digests = {
+        "min_fvs": _solver_digest(min_fvs(g) for g in corpus),
+        "shortest_cycle": _digest(shortest_cycle(g) for g in corpus),
         "min_cfvs": _solver_digest(min_cfvs(g) for g in corpus),
         "min_ds": _solver_digest(min_ds(g) for g in corpus),
         "min_cds": _solver_digest(min_cds(g) for g in corpus),
