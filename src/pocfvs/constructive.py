@@ -23,8 +23,8 @@ Public entry points check their preconditions and raise
 ``InvalidInputError`` when one fails. The private cores behind them
 (``_move_step``, ``_sp3_pipeline``) trust their callers and check none of
 them again, but keep every certificate. The cores hold vertex sets as
-bitmasks, as the graph core does; the public functions convert to
-frozensets at their boundary and traces record sorted tuples.
+bitmasks, built by ``Graph.vertex_mask`` as everywhere in the package;
+results leave as frozensets and traces record sorted tuples.
 
 Internal exhaustive minima (covering subsets, smallest dominating cliques)
 run the solvers' one subset search, ``first_subset``: the bounds require
@@ -125,19 +125,20 @@ def connectify_by_paths(g: Graph, s) -> tuple[frozenset[int], ProcedureTrace]:
     trace = ProcedureTrace("connectify-by-paths", g.n)
     if not g.is_connected():
         raise InvalidInputError("connectification needs a connected graph")
-    members = g.check_vertex_set(s)
-    if not is_fvs(g, members):
+    seed = g.vertex_mask(s)
+    if not g.mask_is_acyclic(g.full_mask & ~seed):
         raise InvalidInputError("the seed set is not a feedback vertex set")
-    if not members:
+    if not seed:
         trace.record("trivial", note="empty seed set")
         trace.finish((), 0)
         return frozenset(), trace
-    anchor = min(members)
+    members = tuple(iter_bits(seed))
+    anchor = members[0]
     diam = g.diameter()
     bound = len(members) + (len(members) - 1) * max(0, diam - 1)
     trace.record("seed", anchor=(anchor,), seed=members)
     out = set(members)
-    for y in sorted(members - {anchor}):
+    for y in members[1:]:
         route = g.shortest_path(anchor, y)
         out.update(route[1:-1])
         trace.record("join", note=f"anchor to {y}", path=route)
@@ -206,7 +207,7 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
     else:
         if s_param < 1:
             raise ContradictionError("a P_5 was found in a graph verified P_5-free")
-        p5_mask = _mask_of(p5_hit.values())
+        p5_mask = g.vertex_mask(p5_hit.values())
         indep: list[int] = []
         taken = 0
         for v in iter_bits(g.full_mask & ~(p5_mask | g.mask_reach(p5_mask))):
@@ -235,10 +236,6 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
 
 
 # -- the move step and the s*P_3 pipeline -------------------------------------
-
-
-def _mask_of(vertices) -> int:
-    return sum(1 << v for v in vertices)
 
 
 def _component_of(g: Graph, members: int, anchor: int) -> int:
@@ -273,10 +270,7 @@ def move_step(
     * every component other than Z' is adjacent to at most one
       remaining u-vertex.
     """
-    s_mem = g.check_vertex_set(s_set)
-    z_mem = g.check_vertex_set(z_set)
-    u_mem = g.check_vertex_set(u_set)
-    s_mask, z_mask, u_mask = _mask_of(s_mem), _mask_of(z_mem), _mask_of(u_mem)
+    s_mask, z_mask, u_mask = g.vertex_mask(s_set), g.vertex_mask(z_set), g.vertex_mask(u_set)
     if s_param < 1:
         raise InvalidInputError(f"the pattern scale must be >= 1, got {s_param}")
     if not g.is_connected():
@@ -285,14 +279,15 @@ def move_step(
         raise InvalidInputError(f"input contains an induced {s_param}*P_3")
     if z_mask not in g.mask_components(s_mask):
         raise InvalidInputError("z must be exactly one component of the induced seed set")
-    z_graph, _ = g.induced_subgraph(z_mem)
+    z_graph, _ = g.mask_subgraph(z_mask)
     if find_induced_embedding((s_param - 1) * path(3), z_graph) is None:
         raise InvalidInputError(f"z must contain an induced {s_param - 1}*P_3")
     if u_mask & s_mask:
         raise InvalidInputError("u must be disjoint from the seed set")
     if g.mask_reach(u_mask) & u_mask:
         raise InvalidInputError("u must be an independent set")
-    moved, trace = _move_step(g, s_mask, z_mask, u_mask, s_param, is_fvs(g, s_mem))
+    seed_is_fvs = g.mask_is_acyclic(g.full_mask & ~s_mask)
+    moved, trace = _move_step(g, s_mask, z_mask, u_mask, s_param, seed_is_fvs)
     return frozenset(iter_bits(moved)), trace
 
 
@@ -354,7 +349,7 @@ def _move_step(
                 f"third cover has {u4.bit_count()} vertices; at most {s_param - 1} are possible"
             )
         z_now = _component_of(g, s_cur, anchor)
-        w_set = _mask_of(u for u in iter_bits(u4) if sum(1 for c in a3 if g.mask(u) & c) >= 2)
+        w_set = g.vertex_mask(u for u in iter_bits(u4) if sum(1 for c in a3 if g.mask(u) & c) >= 2)
         for u in iter_bits(w_set):
             if not g.mask(u) & z_now:
                 raise ContradictionError(
@@ -471,9 +466,9 @@ def _sp3_pipeline(
     """
     # pattern vertex 3t+1 is the middle of the t-th path
     middles = [hit[3 * t + 1] for t in range(s_param - 1)]
-    scaffold = _mask_of(hit.values())
+    scaffold = g.vertex_mask(hit.values())
     for v in middles[1:]:
-        scaffold |= _mask_of(g.shortest_path(middles[0], v))
+        scaffold |= g.vertex_mask(g.shortest_path(middles[0], v))
     anchor = middles[0]
     if scaffold.bit_count() > 4 * s_param * s_param - 4 * s_param:
         raise ContradictionError("the scaffold outgrew its certified size")
@@ -481,14 +476,14 @@ def _sp3_pipeline(
         raise ContradictionError("the scaffold failed to connect")
     trace.record("scaffold", middles=middles, scaffold=iter_bits(scaffold))
 
-    s_cur = _mask_of(fvs_res.witness) | scaffold
+    s_cur = g.vertex_mask(fvs_res.witness) | scaffold
     trace.checkpoint(g, iter_bits(s_cur), "seed-plus-scaffold")
 
     mask = g.full_mask & ~s_cur
     deg3 = [v for v in iter_bits(mask) if (g.mask(v) & mask).bit_count() >= 3]
     if len(deg3) > 4 * s_param * s_param:
         raise ContradictionError("too many branch vertices outside the set")
-    s_cur |= _mask_of(deg3)
+    s_cur |= g.vertex_mask(deg3)
     trace.record("absorb-branch", absorbed=deg3)
     trace.checkpoint(g, iter_bits(s_cur), "after-branch")
 
@@ -496,7 +491,7 @@ def _sp3_pipeline(
     deg2 = [v for v in iter_bits(mask) if (g.mask(v) & mask).bit_count() == 2]
     if len(deg2) > 4 * s_param:
         raise ContradictionError("too many middle vertices outside the set")
-    s_cur |= _mask_of(deg2)
+    s_cur |= g.vertex_mask(deg2)
     trace.record("absorb-middle", absorbed=deg2)
     trace.checkpoint(g, iter_bits(s_cur), "after-middle")
 
@@ -514,7 +509,7 @@ def _sp3_pipeline(
     for name, uset in (("u1", u1), ("u2", u2)):
         z_now = _component_of(g, s_cur, anchor)
         # s_cur was checkpointed as an FVS, and supersets of an FVS are FVSs
-        moved, sub = _move_step(g, s_cur, z_now, _mask_of(uset), s_param, True)
+        moved, sub = _move_step(g, s_cur, z_now, g.vertex_mask(uset), s_param, True)
         added = iter_bits(moved & ~s_cur)
         s_cur = moved
         trace.steps.extend(sub.steps)

@@ -2,15 +2,15 @@
 
 Every structure in this package is built on :class:`Graph`. Instances are
 immutable after construction and hashable, so they can be shared between
-threads and used as dictionary keys. Adjacency is kept twice: as sorted
-neighbor tuples (for iteration) and as per-vertex bitmasks (for the
-subset-heavy exhaustive searches in the solver and matcher modules).
+threads and used as dictionary keys. Adjacency is one bitmask per vertex,
+and every query, traversal and search runs on these masks. A vertex set
+given from outside enters as a mask through :meth:`Graph.vertex_mask`,
+which validates it once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError
@@ -31,23 +31,22 @@ class Graph:
     pure; anything that looks like a mutation returns a new graph.
     """
 
-    __slots__ = ("n", "_nbrs", "_masks", "_m")
+    __slots__ = ("n", "_masks", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InvalidInputError(f"vertex count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise InvalidInputError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self._nbrs = tuple(tuple(sorted(s)) for s in adj)
-        self._masks = tuple(sum(1 << w for w in s) for s in self._nbrs)
-        self._m = sum(len(s) for s in self._nbrs) // 2
+        self._masks = tuple(masks)
+        self._m = sum(m.bit_count() for m in masks) // 2
 
     # -- basic queries ----------------------------------------------------
 
@@ -63,10 +62,9 @@ class Graph:
         return range(self.n)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u in range(self.n) for v in self._nbrs[u] if u < v)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._nbrs[v]
+        """Every edge once as ``(u, v)`` with ``u < v``, in ascending order."""
+        # -(2 << u) keeps the neighbours above u
+        return tuple((u, v) for u, m in enumerate(self._masks) for v in iter_bits(m & -(2 << u)))
 
     def mask(self, v: int) -> int:
         return self._masks[v]
@@ -75,16 +73,16 @@ class Graph:
         return self._masks[v] | (1 << v)
 
     def degree(self, v: int) -> int:
-        return len(self._nbrs[v])
+        return self._masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self._nbrs)
+        return tuple(m.bit_count() for m in self._masks)
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self._nbrs), default=0)
+        return max(self.degrees(), default=0)
 
     def vertices_with_degree(self, d: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if len(self._nbrs[v]) == d)
+        return tuple(v for v, m in enumerate(self._masks) if m.bit_count() == d)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._masks[u] >> v & 1)
@@ -119,12 +117,14 @@ class Graph:
         pos = {v: i for i, v in enumerate(order)}
         return Graph(self.n, ((pos[u], pos[v]) for u, v in self.edges()))
 
-    def check_vertex_set(self, s: Iterable[int]) -> frozenset[int]:
-        out = frozenset(s)
-        for v in out:
+    def vertex_mask(self, s: Iterable[int]) -> int:
+        """Bitmask of the vertex set ``s``; anything but a vertex is an input error."""
+        mask = 0
+        for v in s:
             if not (isinstance(v, int) and 0 <= v < self.n):
                 raise InvalidInputError(f"vertex {v!r} is not in 0..{self.n - 1}")
-        return out
+            mask |= 1 << v
+        return mask
 
     def induced_subgraph(self, s: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Return the subgraph induced by ``s`` plus the kept-vertex order.
@@ -132,15 +132,18 @@ class Graph:
         New vertex ``i`` corresponds to ``kept[i]`` in the original graph;
         ``kept`` is sorted ascending, which fixes the index mapping.
         """
-        kept = tuple(sorted(self.check_vertex_set(s)))
-        pos = {v: i for i, v in enumerate(kept)}
-        edges = [(pos[u], pos[v]) for u in kept for v in self._nbrs[u] if v in pos and u < v]
-        return Graph(len(kept), edges), kept
+        return self.mask_subgraph(self.vertex_mask(s))
 
     def without(self, s: Iterable[int]) -> "Graph":
         """Induced subgraph on the complement of ``s`` (index mapping dropped)."""
-        drop = self.check_vertex_set(s)
-        return self.induced_subgraph(v for v in range(self.n) if v not in drop)[0]
+        return self.mask_subgraph(self.full_mask & ~self.vertex_mask(s))[0]
+
+    def mask_subgraph(self, keep: int) -> tuple["Graph", tuple[int, ...]]:
+        """:meth:`induced_subgraph` of the vertex mask ``keep``, taken as valid."""
+        kept = tuple(iter_bits(keep))
+        pos = {v: i for i, v in enumerate(kept)}
+        edges = [(pos[u], pos[v]) for u in kept for v in iter_bits(self._masks[u] & keep) if u < v]
+        return Graph(len(kept), edges), kept
 
     # -- connectivity and cycles ------------------------------------------
 
@@ -204,38 +207,40 @@ class Graph:
 
     # -- distances ---------------------------------------------------------
 
-    def bfs_distances(self, source: int) -> list[float]:
-        dist: list[float] = [math.inf] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self._nbrs[u]:
-                if dist[w] == math.inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+    def _layers(self, source: int) -> list[int]:
+        """BFS from ``source``: ``layers[d]`` masks the vertices at distance ``d``."""
+        layers = [1 << source]
+        seen = layers[0]
+        while frontier := self.mask_reach(layers[-1]) & ~seen:
+            layers.append(frontier)
+            seen |= frontier
+        return layers
 
     def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
         """All-pairs hop distances, ``math.inf`` for unreachable pairs."""
-        return tuple(tuple(self.bfs_distances(v)) for v in range(self.n))
+        rows: list[list[float]] = [[math.inf] * self.n for _ in range(self.n)]
+        for source, row in enumerate(rows):
+            for d, layer in enumerate(self._layers(source)):
+                for w in iter_bits(layer):
+                    row[w] = d
+        return tuple(map(tuple, rows))
 
     def diameter(self) -> int:
         if not self.is_connected():
             raise InvalidInputError("diameter is defined for connected graphs only")
-        return int(max(max(row) for row in self.distance_matrix()))
+        return max(len(self._layers(v)) for v in range(self.n)) - 1
 
     def shortest_path(self, u: int, v: int) -> tuple[int, ...]:
         """A shortest u-v path, ties broken by smallest predecessor index."""
-        self.check_vertex_set((u, v))
-        dist = self.bfs_distances(u)
-        if dist[v] == math.inf:
+        self.vertex_mask((u, v))
+        layers = self._layers(u)
+        dist = next((d for d, layer in enumerate(layers) if layer >> v & 1), None)
+        if dist is None:
             raise InvalidInputError(f"vertices {u} and {v} are in different components")
         path = [v]
-        cur = v
-        while cur != u:
-            cur = min(w for w in self._nbrs[cur] if dist[w] == dist[cur] - 1)
-            path.append(cur)
+        for layer in reversed(layers[:dist]):
+            back = self._masks[path[-1]] & layer
+            path.append((back & -back).bit_length() - 1)
         return tuple(reversed(path))
 
 

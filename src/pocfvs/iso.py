@@ -57,13 +57,13 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> dict[int, int] | None
         dp = pattern.degree(p)
         deg_ok.append(sum(1 << v for v in range(nh) if host.degree(v) >= dp))
     # for each position, the earlier positions split into neighbors/others
-    pre_nbrs: list[list[int]] = []
+    pre_adj: list[list[int]] = []
     pre_others: list[list[int]] = []
     for idx, p in enumerate(order):
         nb, ot = [], []
         for jdx in range(idx):
             (nb if pattern.has_edge(p, order[jdx]) else ot).append(jdx)
-        pre_nbrs.append(nb)
+        pre_adj.append(nb)
         pre_others.append(ot)
 
     assignment = [0] * np_
@@ -73,7 +73,7 @@ def find_induced_embedding(pattern: Graph, host: Graph) -> dict[int, int] | None
             return True
         p = order[idx]
         cands = deg_ok[p] & ~used & host_full
-        for jdx in pre_nbrs[idx]:
+        for jdx in pre_adj[idx]:
             cands &= host.mask(assignment[jdx])
             if not cands:
                 return False
@@ -188,13 +188,10 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if g.edge_count == 0 or g.is_complete():
         order = tuple(range(n))
         return CanonicalForm(n, g.edges(), order)
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(g.degree(v), []).append(v)
-    initial = [by_degree[d] for d in sorted(by_degree)]
     best_code = None
     best_order = None
-    for order in _discrete_orders(g, initial):
+    # the first refinement pass splits the single cell by degree
+    for order in _discrete_orders(g, [list(range(n))]):
         code = _encode(g, order)
         if best_code is None or code < best_code:
             best_code, best_order = code, order

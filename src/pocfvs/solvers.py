@@ -59,45 +59,50 @@ class SolveResult:
 def shortest_cycle(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
     """Vertices of a shortest cycle inside the induced ``mask``, or ``None``.
 
-    Runs a BFS from every vertex and closes the best non-tree edge through
-    the deepest common ancestor, which yields a simple cycle of girth
-    length. The result is sorted, and deterministic for a fixed graph.
+    Runs one BFS from every vertex, layer by layer on neighbour masks, each
+    vertex queueing its new neighbours in ascending order. The best non-tree
+    edge (shortest cycle, then least root, then least endpoints) is closed
+    through the deepest common ancestor in its root's BFS tree, which yields
+    a simple cycle of girth length. The result is sorted, and deterministic
+    for a fixed graph.
     """
     if mask is None:
         mask = g.full_mask
+    adj = [g.mask(v) & mask for v in range(g.n)]
     best = None  # (length, root, a, b)
     for root in iter_bits(mask):
-        dist = {root: 0}
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in g.neighbors(u):
-                if not (mask >> w & 1):
-                    continue
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-                elif dist[w] >= dist[u]:
-                    cand = (dist[u] + dist[w] + 1, root, min(u, w), max(u, w))
+        tree = [-1] * g.n
+        seen = layer = 1 << root
+        frontier = [root]  # ``layer`` in BFS order; ``outer``/``nxt`` collect the next
+        depth = 0
+        while frontier:
+            outer, nxt = 0, []
+            for u in frontier:
+                nbrs = adj[u]
+                # a non-tree edge into the layer closes 2d+1, one to a vertex
+                # found first by another parent 2d+2; the least w is best for u
+                ends = nbrs & layer or nbrs & outer
+                if ends:
+                    w = (ends & -ends).bit_length() - 1
+                    cand = (2 * depth + 1 + (not nbrs & layer), root, min(u, w), max(u, w))
                     if best is None or cand < best:
-                        best = cand
+                        best, parent = cand, tree
+                fresh = nbrs & ~seen
+                seen |= fresh
+                outer |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    w = low.bit_length() - 1
+                    tree[w] = u
+                    nxt.append(w)
+            layer, frontier = outer, nxt
+            depth += 1
         if best is not None and best[0] == 3:
             break
     if best is None:
         return None
-    _, root, a, b = best
-    parent = {root: -1}
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for w in g.neighbors(u):
-            if (mask >> w & 1) and w not in parent:
-                parent[w] = u
-                queue.append(w)
+    _, _, a, b = best
 
     def chain(x: int) -> list[int]:
         out = []
@@ -209,18 +214,13 @@ def min_cds(g: Graph, limit: int | None = None) -> SolveResult:
 
 def is_fvs(g: Graph, s) -> bool:
     """True iff deleting ``s`` from ``g`` leaves a forest."""
-    drop = sum(1 << v for v in g.check_vertex_set(s))
-    return g.mask_is_acyclic(g.full_mask & ~drop)
+    return g.mask_is_acyclic(g.full_mask & ~g.vertex_mask(s))
 
 
 def is_cfvs(g: Graph, s) -> bool:
     """FVS check plus connectivity; the empty set counts as connected."""
-    members = g.check_vertex_set(s)
-    if not is_fvs(g, members):
-        return False
-    if not members:
-        return True
-    return g.mask_is_connected(sum(1 << v for v in members))
+    m = g.vertex_mask(s)
+    return g.mask_is_acyclic(g.full_mask & ~m) and (not m or g.mask_is_connected(m))
 
 
 def lies_on_cycle(g: Graph, v: int) -> bool:

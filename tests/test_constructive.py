@@ -58,13 +58,9 @@ def test_paths_errors():
         connectify_by_paths(butterfly(3, 3, 2), {0})  # not an FVS
     with pytest.raises(InvalidInputError):
         connectify_by_paths(path(2) + path(2), set())
-
-
-def test_paths_reject_bad_vertex_sets():
-    g = cycle(5)
     for bad in ((5,), (0, -1), (1.0,), ("2",)):
         with pytest.raises(InvalidInputError):
-            connectify_by_paths(g, bad)
+            connectify_by_paths(cycle(5), bad)
 
 
 def test_p5sp1_examples():
@@ -141,18 +137,14 @@ def test_move_step_preconditions():
         move_step(g, {0}, frozenset({0}), {2, 3}, 2)  # u not independent
     with pytest.raises(InvalidInputError):
         move_step(path(3) + path(3), {0}, frozenset({0}), set(), 2)
-
-
-def test_move_step_rejects_bad_vertex_sets():
-    g = tadpole(3, 3)
-    seed = {3, 4, 5}
-    for bad in ((6,), (-1,), (2.5,), ("3",)):
+    g, seed = tadpole(3, 3), {3, 4, 5}
+    for bad in ({6}, {-1}, {2.5}, {"3"}):
         with pytest.raises(InvalidInputError):
-            move_step(g, seed | set(bad), frozenset(seed), set(), 2)
+            move_step(g, seed | bad, frozenset(seed), set(), 2)
         with pytest.raises(InvalidInputError):
-            move_step(g, seed, frozenset(seed) | set(bad), set(), 2)
+            move_step(g, seed, frozenset(seed | bad), set(), 2)
         with pytest.raises(InvalidInputError):
-            move_step(g, seed, frozenset(seed), set(bad), 2)
+            move_step(g, seed, frozenset(seed), bad, 2)
 
 
 def _move_step_corpus():

@@ -75,15 +75,6 @@ def test_enumeration_unique_and_connected():
         seen.add(key)
 
 
-def test_pruned_enumeration_matches_postfilter():
-    pruned = enumerate_connected(6, forbidden=(claw(),))
-    filtered = [g for g in enumerate_connected(6) if is_free(g, [claw()])]
-    assert len(pruned) == len(filtered)
-    assert {canonical_form(g).key for g in pruned} == {
-        canonical_form(g).key for g in filtered
-    }
-
-
 def test_enumeration_ignores_family_labels_and_order(monkeypatch):
     # freeness is isomorphism-invariant, so a relabelled or reordered
     # family yields the same levels; each family gets a cold cache here
