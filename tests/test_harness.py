@@ -184,6 +184,16 @@ def test_max_poc_report():
     assert diffs[gid] == 1
 
 
+# sha256 of the n <= 7 report as the reference implementation wrote it;
+# it covers every record's canonical graph6 ID
+MAX_POC_7_DIGEST = "3915a6d1a596898ab7bac38a15660b1a695a2b1e8a4447e414ae5f53adbe41ee"
+
+
+def test_max_poc_report_is_byte_stable():
+    report = max_poc(EnumerationSpec(n_max=7)).to_json(None)
+    assert hashlib.sha256(report.encode()).hexdigest() == MAX_POC_7_DIGEST
+
+
 def test_max_poc_p3_free_all_equal():
     report = max_poc(EnumerationSpec(n_max=7, forbidden=(path(3),)))
     assert all(r.ratio in (None, Fraction(1)) for r in report.records)

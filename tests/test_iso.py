@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -131,6 +133,25 @@ def test_canonical_graph_is_isomorphic_representative():
         cg = canonical_graph(g)
         assert are_isomorphic(cg, g)
         assert canonical_form(cg) == canonical_form(g)
+
+
+# sha256 of json.dumps([n, edges]) of the canonical form of every graph on
+# up to 6 vertices and of a seeded relabelled copy of each, as the
+# reference implementation computed them
+CANONICAL_FORMS_DIGEST = "f59b28637ebd8a4a13511741d217e5a337528a3f6410d60e324981d5393bf72f"
+
+
+def test_canonical_forms_are_byte_stable():
+    rng = random.Random(2015)
+    h = hashlib.sha256()
+    for n in range(7):
+        for g in enumerate_all_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for x in (g, g.relabel(perm)):
+                h.update(json.dumps(list(canonical_form(x).key)).encode())
+                h.update(b"\n")
+    assert h.hexdigest() == CANONICAL_FORMS_DIGEST
 
 
 def test_complete_graph_canonicalization_is_fast():
