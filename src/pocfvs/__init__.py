@@ -27,10 +27,8 @@ from .generators import (
     three_p1_witness,
 )
 from .iso import (
-    CanonicalForm,
     are_isomorphic,
     canonical_form,
-    canonical_graph,
     embeds_induced,
     find_induced_embedding,
     is_free,

@@ -34,16 +34,25 @@ class Graph:
     __slots__ = ("n", "_masks", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if not isinstance(n, int):
+            raise InvalidInputError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise InvalidInputError(f"vertex count must be non-negative, got {n}")
         masks = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InvalidInputError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        # a non-integer endpoint or an edge that is not a pair fails in the
+        # comparison, the unpacking or the shift; no per-edge type test
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidInputError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise InvalidInputError(f"self-loop at vertex {u}")
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        except InvalidInputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"edges must be pairs of integer vertices: {exc}") from exc
         self.n = n
         self._masks = tuple(masks)
         self._m = sum(m.bit_count() for m in masks) // 2

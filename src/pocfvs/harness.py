@@ -23,7 +23,7 @@ from .cover import ClassificationResult, family_covers_all
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph
-from .iso import canonical_form, canonical_graph, embeds_induced, is_free, is_linear_forest
+from .iso import canonical_form, embeds_induced, is_free, is_linear_forest
 from .solvers import min_cfvs, min_fvs
 
 MAX_ENUMERATION_ORDER = 8
@@ -50,7 +50,8 @@ class EnumerationSpec:
 def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
     """All connected graphs on exactly ``n`` vertices avoiding ``forbidden``.
 
-    One representative per isomorphism class, in canonical-key order.
+    One representative per isomorphism class, ordered by the edge list of
+    its canonical form. Each call returns a new list.
     """
     if n < 1:
         raise InvalidInputError(f"order must be >= 1, got {n}")
@@ -63,16 +64,16 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
         if n == 1:
             _LEVEL_CACHE[n] = [Graph(1)]
         else:
-            seen: dict[tuple, Graph] = {}
+            seen: dict[Graph, Graph] = {}
             base = n - 1
             for g in enumerate_connected(base):
                 old_edges = g.edges()
                 for mask in range(1, 1 << base):
                     extra = [(v, base) for v in range(base) if mask >> v & 1]
                     h = Graph(n, old_edges + tuple(extra))
-                    seen.setdefault(canonical_form(h).key, h)
-            _LEVEL_CACHE[n] = [seen[k] for k in sorted(seen)]
-    return _LEVEL_CACHE[n]
+                    seen.setdefault(canonical_form(h), h)
+            _LEVEL_CACHE[n] = [seen[c] for c in sorted(seen, key=Graph.edges)]
+    return list(_LEVEL_CACHE[n])
 
 
 def enumerate_connected_upto(n_max: int, forbidden=()) -> list[Graph]:
@@ -174,7 +175,7 @@ def evaluate_graphs(graphs, spec_label: str, limit: int | None = None) -> Experi
             continue
         f = min_fvs(g, limit).optimum
         c = min_cfvs(g, limit).optimum
-        gid = graph6.encode(canonical_graph(g))
+        gid = graph6.encode(canonical_form(g))
         ratio = Fraction(c, f) if f > 0 else None
         report.records.append(GraphRecord(gid, g.n, f, c, ratio, c - f))
     report.records.sort(key=lambda r: (r.order, r.graph_id))
@@ -209,18 +210,15 @@ def tetrachotomy_classify(h: Graph) -> ClassificationResult:
             reason="embeds in a 3-vertex path; the two optima always coincide",
             constant=0,
         )
-    in_p5sp1 = embeds_induced(h, path(5) + n * path(1))
-    in_sp3 = embeds_induced(h, n * path(3))
-    if in_p5sp1 or in_sp3:
+    # embedding is monotone in s, so the least s is found by counting up
+    s_p5 = next((s for s in range(n + 1) if embeds_induced(h, path(5) + s * path(1))), None)
+    s_p3 = next((s for s in range(1, n + 1) if embeds_induced(h, s * path(3))), None)
+    if s_p5 is not None or s_p3 is not None:
         candidates = []
-        if in_p5sp1:
-            s = min(
-                s for s in range(n + 1) if embeds_induced(h, path(5) + s * path(1))
-            )
-            candidates.append(p5sp1_constant(s))
-        if in_sp3:
-            s = min(s for s in range(1, n + 1) if embeds_induced(h, s * path(3)))
-            candidates.append(sp3_constant(s))
+        if s_p5 is not None:
+            candidates.append(p5sp1_constant(s_p5))
+        if s_p3 is not None:
+            candidates.append(sp3_constant(s_p3))
         return ClassificationResult(
             verdict="class-ii",
             bounded=True,

@@ -7,14 +7,13 @@ already-matched vertices, so both edges and non-edges of the pattern are
 preserved (induced semantics).
 
 Canonical forms are computed by iterated degree refinement followed by a
-branch-on-cell search over the remaining symmetric vertices; the minimum
-adjacency encoding over the discrete refinements is the canonical key, so
-equal keys characterize isomorphism.
+branch-on-cell search over the remaining symmetric vertices; the vertex
+order with the minimum adjacency encoding over the discrete refinements is
+chosen, and the graph relabelled by that order is the canonical form;
+equal forms characterize isomorphism.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .graph import Graph, iter_bits
 
@@ -117,24 +116,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- canonical forms --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Isomorphism-invariant key plus one witnessing vertex order.
-
-    Equality and hashing use only ``(n, edges)``; two graphs are isomorphic
-    exactly when their forms compare equal. ``order[i]`` is the original
-    vertex placed at canonical position ``i``.
-    """
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    order: tuple[int, ...] = field(compare=False)
-
-    @property
-    def key(self) -> tuple:
-        return (self.n, self.edges)
-
-
 def _refine(g: Graph, parts: list[list[int]]) -> list[list[int]]:
     while True:
         masks = [sum(1 << v for v in cell) for cell in parts]
@@ -181,25 +162,20 @@ def _encode(g: Graph, order: tuple[int, ...]) -> int:
     return code
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    n = g.n
-    if n == 0:
-        return CanonicalForm(0, (), ())
+def canonical_form(g: Graph) -> Graph:
+    """``g`` relabelled into its canonical form.
+
+    Two graphs are isomorphic exactly when their forms are equal, so the
+    form is a dictionary key for an isomorphism class. Edgeless and complete
+    graphs, the empty graph included, are their own forms.
+    """
     if g.edge_count == 0 or g.is_complete():
-        order = tuple(range(n))
-        return CanonicalForm(n, g.edges(), order)
+        return g
     best_code = None
     best_order = None
     # the first refinement pass splits the single cell by degree
-    for order in _discrete_orders(g, [list(range(n))]):
+    for order in _discrete_orders(g, [list(range(g.n))]):
         code = _encode(g, order)
         if best_code is None or code < best_code:
             best_code, best_order = code, order
-    pos = {v: i for i, v in enumerate(best_order)}
-    edges = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges()))
-    return CanonicalForm(n, edges, best_order)
-
-
-def canonical_graph(g: Graph) -> Graph:
-    form = canonical_form(g)
-    return Graph(form.n, form.edges)
+    return g.relabel(best_order)

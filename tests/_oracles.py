@@ -214,7 +214,7 @@ def enumerate_all_graphs(n: int):
         # choose one graph per part; identical part sizes need multisets
         def assemble(idx: int, acc, last_pick):
             if idx == len(shape):
-                out.setdefault(canonical_form(acc).key, acc)
+                out.setdefault(canonical_form(acc), acc)
                 return
             for pick, g in enumerate(pools[idx]):
                 if idx > 0 and shape[idx] == shape[idx - 1] and pick < last_pick:
@@ -222,4 +222,4 @@ def enumerate_all_graphs(n: int):
                 assemble(idx + 1, acc + g, pick)
 
         assemble(0, Graph(0), 0)
-    return [out[k] for k in sorted(out)]
+    return [out[c] for c in sorted(out, key=Graph.edges)]

@@ -30,6 +30,12 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(1, 1)])
     with pytest.raises(InvalidInputError):
         Graph(-1)
+    for bad in ([(0, 1.5)], [(0, "1")], [(0,)], [(0, 1, 2)]):
+        with pytest.raises(InvalidInputError):
+            Graph(3, bad)
+    for bad_n in (2.5, "3"):
+        with pytest.raises(InvalidInputError):
+            Graph(bad_n)
 
 
 def test_vertex_sets_are_validated():

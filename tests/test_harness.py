@@ -28,7 +28,7 @@ from pocfvs.harness import (
     tetrachotomy_classify,
     unboundedness_witnesses,
 )
-from pocfvs.iso import are_isomorphic, canonical_form, canonical_graph, is_free
+from pocfvs.iso import are_isomorphic, canonical_form, is_free
 from pocfvs.solvers import min_cfvs, min_fvs
 
 from _oracles import dfs_is_acyclic, edge_set, enumerate_all_graphs, perm_isomorphic, reachable
@@ -70,9 +70,21 @@ def test_enumeration_unique_and_connected():
     seen = set()
     for g in enumerate_connected(6):
         assert g.is_connected()
-        key = canonical_form(g).key
+        key = canonical_form(g)
         assert key not in seen
         seen.add(key)
+
+
+def test_enumerated_levels_are_fresh_lists(monkeypatch):
+    # a caller that mutates a returned level must not change the cache
+    from pocfvs import harness
+
+    monkeypatch.setattr(harness, "_LEVEL_CACHE", {})
+    level = enumerate_connected(3)
+    before = list(level)
+    level.clear()
+    assert enumerate_connected(3) == before
+    assert len(enumerate_connected(4)) == 6
 
 
 def test_enumeration_ignores_family_labels_and_order(monkeypatch):
@@ -139,13 +151,13 @@ def test_enumeration_and_canonical_keys_match_the_networkx_atlas():
     # exactly once, with its own isomorphism classes
     nx = pytest.importorskip("networkx")
     atlas = [Graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()]
-    keys = [canonical_form(g).key for g in atlas]
+    keys = [canonical_form(g) for g in atlas]
     assert len(atlas) == 1253
     assert len(set(keys)) == len(keys)
     counts = []
     for n in range(1, 8):
         connected = {k for g, k in zip(atlas, keys) if g.n == n and g.is_connected()}
-        assert connected == {canonical_form(g).key for g in enumerate_connected(n)}
+        assert connected == {canonical_form(g) for g in enumerate_connected(n)}
         counts.append(len(connected))
     assert counts == [1, 1, 2, 6, 21, 112, 853]
 
@@ -179,7 +191,7 @@ def test_max_poc_report():
     assert report.max_ratio == best
     assert report.forest_count == sum(1 for r in report.records if r.ratio is None)
     k33 = Graph(6, [(a, 3 + b) for a in range(3) for b in range(3)])
-    gid = encode(canonical_graph(k33))
+    gid = encode(canonical_form(k33))
     diffs = {r.graph_id: r.difference for r in report.records}
     assert diffs[gid] == 1
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pocfvs import Graph, InvalidInputError, ResourceLimitError, disjoint_union, is_fvs
 from pocfvs.generators import _FAMILIES, from_spec, parse_spec_list
 from pocfvs.graph6 import decode, encode
-from pocfvs.iso import canonical_form
+from pocfvs.iso import are_isomorphic, canonical_form
 from pocfvs.solvers import min_fvs
 
 
@@ -32,6 +32,9 @@ def test_canonical_form_permutation_invariant(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
     assert canonical_form(g) == canonical_form(g.relabel(perm))
+    c = canonical_form(g)
+    assert canonical_form(c) == c
+    assert are_isomorphic(c, g)
 
 
 @given(graphs(max_n=9))
