@@ -49,7 +49,7 @@ class Graph:
                     raise InvalidInputError(f"self-loop at vertex {u}")
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-        except InvalidInputError:
+        except InvalidInputError:  # a ValueError; its message stays
             raise
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"edges must be pairs of integer vertices: {exc}") from exc

@@ -210,20 +210,16 @@ def tetrachotomy_classify(h: Graph) -> ClassificationResult:
             reason="embeds in a 3-vertex path; the two optima always coincide",
             constant=0,
         )
-    # embedding is monotone in s, so the least s is found by counting up
+    # the least s that embeds h; h has n vertices, so it needs no more than n copies
     s_p5 = next((s for s in range(n + 1) if embeds_induced(h, path(5) + s * path(1))), None)
     s_p3 = next((s for s in range(1, n + 1) if embeds_induced(h, s * path(3))), None)
-    if s_p5 is not None or s_p3 is not None:
-        candidates = []
-        if s_p5 is not None:
-            candidates.append(p5sp1_constant(s_p5))
-        if s_p3 is not None:
-            candidates.append(sp3_constant(s_p3))
+    constants = [f(s) for f, s in ((p5sp1_constant, s_p5), (sp3_constant, s_p3)) if s is not None]
+    if constants:
         return ClassificationResult(
             verdict="class-ii",
             bounded=True,
             reason="embeds in P_5 + s*P_1 or in s*P_3; additive constant suffices",
-            constant=min(candidates),
+            constant=min(constants),
         )
     if is_linear_forest(h):
         return ClassificationResult(

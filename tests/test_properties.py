@@ -31,8 +31,8 @@ def test_graph6_roundtrip(g):
 def test_canonical_form_permutation_invariant(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
-    assert canonical_form(g) == canonical_form(g.relabel(perm))
     c = canonical_form(g)
+    assert c == canonical_form(g.relabel(perm))
     assert canonical_form(c) == c
     assert are_isomorphic(c, g)
 
