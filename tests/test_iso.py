@@ -9,6 +9,7 @@ from pocfvs import (
     Graph,
     butterfly,
     claw,
+    complete_bipartite,
     cycle,
     hourglass,
     hourglass_chain,
@@ -164,3 +165,48 @@ def test_matching_determinism():
     first = find_induced_embedding(claw(), host)
     second = find_induced_embedding(claw(), host)
     assert first == second
+
+
+def _petersen():
+    outer = [(v, (v + 1) % 5) for v in range(5)]
+    spokes = [(v, v + 5) for v in range(5)]
+    inner = [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def _complete(n):
+    return Graph(n, list(combinations(range(n), 2)))
+
+
+# sha256 of json.dumps([n, edges]) of the canonical form of every connected
+# graph on 7 and 8 vertices, of a seeded relabelled copy of each, and of six
+# symmetric graphs, as the exhaustive leaf search computed them
+LARGER_CANONICAL_FORMS_DIGEST = "2adec2fe74a85f4e1e8e54c768ee34b51cbb60fb9db325008dbe1ad23d6830ba"
+
+
+def test_larger_canonical_forms_are_byte_stable():
+    rng = random.Random(2015)
+    h = hashlib.sha256()
+
+    def add(g):
+        c = canonical_form(g)
+        h.update(json.dumps([c.n, c.edges()]).encode())
+        h.update(b"\n")
+
+    for n in (7, 8):
+        for g in enumerate_connected(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            add(g)
+            add(g.relabel(perm))
+    symmetric = [
+        complete_bipartite(1, 8),
+        complete_bipartite(3, 3),
+        complete_bipartite(4, 4),
+        3 * cycle(3),
+        2 * _complete(4),
+        _petersen(),
+    ]
+    for g in symmetric:
+        add(g)
+    assert h.hexdigest() == LARGER_CANONICAL_FORMS_DIGEST
