@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, ResourceLimitError
-from .graph import Graph, disjoint_union
+from .graph import MAX_ORDER, Graph, disjoint_union
 
 
 def path(k: int) -> Graph:
@@ -165,12 +165,6 @@ _FAMILIES = {
     "gprime": (gprime, None, lambda *t: 3 + sum(t) * (6 if len(t) == 1 else 1)),
 }
 
-# specs describing more vertices fail before anything is built; every vertex
-# stores an n-bit adjacency mask, and the induced matcher recurses once per
-# pattern vertex, which overflows the interpreter stack near 985
-MAX_SPEC_ORDER = 512
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A named family member: a generator tag plus integer parameters.
@@ -208,8 +202,8 @@ def _spec_order(spec: FamilySpec) -> int:
                 f"family {spec.family!r} takes {arity} parameters, got {len(spec.params)}"
             )
         n = order(*spec.params)
-    if n > MAX_SPEC_ORDER:
-        raise ResourceLimitError(f"graph spec has more than {MAX_SPEC_ORDER} vertices")
+    if n > MAX_ORDER:
+        raise ResourceLimitError(f"graph spec has more than {MAX_ORDER} vertices")
     return n
 
 

@@ -13,7 +13,12 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
+
+# the largest order a graph may have; every vertex stores an n-bit adjacency
+# mask, and the induced matcher recurses once per pattern vertex, which
+# overflows the interpreter stack near 985
+MAX_ORDER = 512
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -38,6 +43,8 @@ class Graph:
             raise InvalidInputError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise InvalidInputError(f"vertex count must be non-negative, got {n}")
+        if n > MAX_ORDER:
+            raise ResourceLimitError(f"graph has {n} vertices, the limit is {MAX_ORDER}")
         masks = [0] * n
         # a non-integer endpoint or an edge that is not a pair fails in the
         # comparison, the unpacking or the shift; no per-edge type test

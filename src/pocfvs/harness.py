@@ -2,11 +2,14 @@
 
 Connected graphs are generated size by size: every connected graph on n+1
 vertices arises from a connected graph on n vertices by attaching a new
-vertex to a nonempty neighborhood, so each level is built from the
-previous one and deduplicated through canonical forms. This growth runs
-once per order, and its levels are cached for the lifetime of the process,
-keyed by the order alone; the experiment drivers lean on that cache
-heavily. A forbidden family is applied by filtering the cached level.
+vertex to a nonempty neighborhood. A parent is extended only by the
+neighborhoods least in their orbit under its automorphisms, and candidates
+are deduplicated on their canonical code, keeping the first of each class.
+That candidate survives the pruning: a smaller automorphic image of its
+neighborhood would give an isomorphic candidate generated earlier. This
+growth runs once per order, and its levels are cached for the lifetime of
+the process, keyed by the order alone; the experiment drivers lean on that
+cache heavily. A forbidden family is applied by filtering the cached level.
 Because freeness is hereditary, that keeps exactly the representatives a
 growth restricted to free graphs would find.
 """
@@ -22,8 +25,8 @@ from .constructive import p5sp1_constant, sp3_constant
 from .cover import ClassificationResult, family_covers_all
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
-from .graph import Graph
-from .iso import canonical_form, embeds_induced, is_free, is_linear_forest
+from .graph import Graph, iter_bits
+from .iso import _search, canonical_form, embeds_induced, is_free, is_linear_forest
 from .solvers import min_cfvs, min_fvs
 
 MAX_ENUMERATION_ORDER = 8
@@ -64,16 +67,40 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
         if n == 1:
             _LEVEL_CACHE[n] = [Graph(1)]
         else:
-            seen: dict[Graph, Graph] = {}
+            # code -> (parent, neighbourhood of the new vertex, canonical order)
+            seen: dict[int, tuple[Graph, int, tuple[int, ...]]] = {}
             base = n - 1
             for g in enumerate_connected(base):
-                old_edges = g.edges()
-                for mask in range(1, 1 << base):
-                    extra = [(v, base) for v in range(base) if mask >> v & 1]
-                    h = Graph(n, old_edges + tuple(extra))
-                    seen.setdefault(canonical_form(h), h)
-            _LEVEL_CACHE[n] = [seen[c] for c in sorted(seen, key=Graph.edges)]
+                masks = g._masks
+                for extra in _orbit_minima(base, _search(masks)[2]):
+                    grown = [m | 1 << base if extra >> v & 1 else m for v, m in enumerate(masks)]
+                    code, order, _ = _search((*grown, extra))
+                    if code not in seen:
+                        seen[code] = (g, extra, order)
+            level = []
+            for g, extra, order in seen.values():
+                h = Graph(n, g.edges() + tuple((v, base) for v in iter_bits(extra)))
+                level.append((h.relabel(order).edges(), h))
+            _LEVEL_CACHE[n] = [h for _, h in sorted(level)]
     return list(_LEVEL_CACHE[n])
+
+
+def _orbit_minima(n: int, perms) -> list[int]:
+    """The nonempty masks on ``n`` vertices that are least in their orbit under ``perms``."""
+    seen: set[int] = set()
+    out = []
+    for s in range(1, 1 << n):  # ascending, so each orbit is first met at its least mask
+        if s in seen:
+            continue
+        out.append(s)
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            images = {sum(1 << p[v] for v in iter_bits(x)) for p in perms} - seen
+            seen |= images
+            stack += images
+    return out
 
 
 def enumerate_connected_upto(n_max: int, forbidden=()) -> list[Graph]:

@@ -6,11 +6,14 @@ intersection of the adjacency and non-adjacency constraints imposed by the
 already-matched vertices, so both edges and non-edges of the pattern are
 preserved (induced semantics).
 
-Canonical forms are computed by iterated degree refinement followed by a
-branch-on-cell search over the remaining symmetric vertices; the vertex
-order with the minimum adjacency encoding over the discrete refinements is
-chosen, and the graph relabelled by that order is the canonical form;
-equal forms characterize isomorphism.
+Canonical forms come from one search over the refinement tree, pruned by
+automorphisms (McKay and Piperno, "Practical graph isomorphism, II",
+2014). Cells are vertex bitmasks, refined until equitable; the first
+non-singleton cell branches on each of its vertices. The graph relabelled
+by the leaf order with the least adjacency code is the canonical form, and
+equal forms characterize isomorphism. Leaves with equal codes give
+automorphisms, which prune only branches that are images of explored ones,
+so the least code is that of the exhaustive search.
 """
 
 from __future__ import annotations
@@ -116,66 +119,107 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- canonical forms --------------------------------------------------------
 
 
-def _refine(g: Graph, parts: list[list[int]]) -> list[list[int]]:
-    while True:
-        masks = [sum(1 << v for v in cell) for cell in parts]
-        new: list[list[int]] = []
-        changed = False
-        for cell in parts:
-            if len(cell) == 1:
-                new.append(cell)
+def _refine(masks: tuple[int, ...], cells: list[int], split: list[int]) -> list[int]:
+    """Refine the ordered partition ``cells`` until it is equitable.
+
+    A round splits each cell by its vertices' neighbour counts into the
+    cells in ``split``, in partition order, and orders the pieces by those
+    counts. Counts into other cells are constant within a cell: cells not
+    split in the round before, and the last piece of a split cell.
+    """
+    width = len(masks).bit_length()
+    while split:
+        out: list[int] = []
+        pieces: list[int] = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
                 continue
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple((g.mask(v) & m).bit_count() for m in masks)
-                buckets.setdefault(sig, []).append(v)
-            if len(buckets) == 1:
-                new.append(cell)
-            else:
-                changed = True
-                for sig in sorted(buckets):
-                    new.append(buckets[sig])
-        if not changed:
-            return new
-        parts = new
+            buckets: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                m = masks[low.bit_length() - 1]
+                sig = 0
+                for s in split:
+                    sig = sig << width | (m & s).bit_count()
+                buckets[sig] = buckets.get(sig, 0) | low
+            new = [buckets[sig] for sig in sorted(buckets)]
+            out += new
+            pieces += new[:-1]
+        cells, split = out, pieces
+    return cells
 
 
-def _discrete_orders(g: Graph, parts: list[list[int]]):
-    parts = _refine(g, parts)
-    target = next((i for i, cell in enumerate(parts) if len(cell) > 1), None)
-    if target is None:
-        yield tuple(cell[0] for cell in parts)
-        return
-    cell = parts[target]
-    for v in cell:
-        rest = [w for w in cell if w != v]
-        child = parts[:target] + [[v], rest] + parts[target + 1 :]
-        yield from _discrete_orders(g, child)
+def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """The least leaf code, a vertex order reaching it, and automorphisms found.
 
+    A leaf's code is the upper-triangle adjacency bits of the graph
+    relabelled by its order, row by row. A leaf whose code equals the first
+    or the best leaf's gives an automorphism ``p`` (``v`` maps to ``p[v]``)
+    and sends the search back to where the two paths part. A child in the
+    orbit of an explored sibling under the automorphisms fixing the path is
+    skipped. The automorphisms returned generate the automorphism group.
+    """
+    n = len(masks)
+    auts: list[tuple[int, ...]] = []
+    leaves: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []  # first, best
 
-def _encode(g: Graph, order: tuple[int, ...]) -> int:
-    code = 0
-    for a in range(len(order)):
-        ma = g.mask(order[a])
-        for b in range(a + 1, len(order)):
-            code = (code << 1) | (ma >> order[b] & 1)
-    return code
+    def leaf(cells: list[int], path: tuple[int, ...]) -> int:
+        order = tuple(c.bit_length() - 1 for c in cells)
+        code = 0
+        for i, v in enumerate(order):
+            m = masks[v]
+            for w in order[i + 1 :]:
+                code = code << 1 | m >> w & 1
+        if not leaves:
+            leaves[:] = [(code, order, path)] * 2
+        for known, known_order, known_path in leaves:
+            if code == known and order != known_order:
+                perm = [0] * n
+                for a, b in zip(known_order, order):
+                    perm[a] = b
+                auts.append(tuple(perm))
+                return next(d for d, (a, b) in enumerate(zip(known_path, path)) if a != b)
+        if code < leaves[1][0]:
+            leaves[1] = (code, order, path)
+        return len(path)
+
+    def visit(cells: list[int], path: tuple[int, ...]) -> int:
+        """Explore a node; return the depth the search resumes at."""
+        depth = len(path)
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if target is None:
+            return leaf(cells, path)
+        cell = cells[target]
+        explored = 0
+        for v in iter_bits(cell):
+            if explored and auts:
+                gens = [p for p in auts if all(p[u] == u for u in path)]
+                orbit, frontier = explored, explored
+                while frontier:
+                    frontier = sum({1 << p[w] for p in gens for w in iter_bits(frontier)}) & ~orbit
+                    orbit |= frontier
+                if orbit >> v & 1:
+                    continue
+            explored |= 1 << v
+            child = cells[:target] + [1 << v, cell ^ 1 << v] + cells[target + 1 :]
+            back = visit(_refine(masks, child, [1 << v]), path + (v,))
+            if back < depth:
+                return back
+        return depth
+
+    full = (1 << n) - 1
+    visit(_refine(masks, [full] if n else [], [full]), ())
+    code, order, _ = leaves[1]
+    return code, order, auts
 
 
 def canonical_form(g: Graph) -> Graph:
     """``g`` relabelled into its canonical form.
 
     Two graphs are isomorphic exactly when their forms are equal, so the
-    form is a dictionary key for an isomorphism class. Edgeless and complete
-    graphs, the empty graph included, are their own forms.
+    form is a dictionary key for an isomorphism class.
     """
-    if g.edge_count == 0 or g.is_complete():
-        return g
-    best_code = None
-    best_order = None
-    # the first refinement pass splits the single cell by degree
-    for order in _discrete_orders(g, [list(range(g.n))]):
-        code = _encode(g, order)
-        if best_code is None or code < best_code:
-            best_code, best_order = code, order
-    return g.relabel(best_order)
+    return g.relabel(_search(g._masks)[1])

@@ -223,3 +223,62 @@ def enumerate_all_graphs(n: int):
 
         assemble(0, Graph(0), 0)
     return [out[c] for c in sorted(out, key=Graph.edges)]
+
+
+def canonical_form_exhaustive(g):
+    """Canonical form by visiting every leaf of the refinement tree.
+
+    The ordered partition is refined until each vertex's neighbour counts
+    into every cell agree within its cell; the first non-singleton cell is
+    then split by individualizing each of its vertices in turn. Of all the
+    discrete orders reached, the first whose upper-triangle adjacency bits,
+    read row by row, form the least integer gives the form. No leaf is
+    pruned, so symmetric graphs cost up to n! leaves; edgeless and complete
+    graphs, the only ones where every order is a leaf, are their own forms.
+    """
+    from pocfvs import Graph
+
+    n, edges = g.n, sorted(edge_set(g))
+    if not edges or len(edges) == n * (n - 1) // 2:
+        return Graph(n, edges)
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    def refine(parts):
+        while True:
+            masks = [sum(1 << v for v in cell) for cell in parts]
+            new, changed = [], False
+            for cell in parts:
+                buckets = {}
+                for v in cell:
+                    sig = tuple((adj[v] & m).bit_count() for m in masks)
+                    buckets.setdefault(sig, []).append(v)
+                changed |= len(buckets) > 1
+                new.extend(buckets[sig] for sig in sorted(buckets))
+            if not changed:
+                return new
+            parts = new
+
+    def leaves(parts):
+        parts = refine(parts)
+        target = next((i for i, cell in enumerate(parts) if len(cell) > 1), None)
+        if target is None:
+            yield tuple(cell[0] for cell in parts)
+            return
+        cell = parts[target]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            yield from leaves(parts[:target] + [[v], rest] + parts[target + 1 :])
+
+    def encode(order):
+        code = 0
+        for a in range(n):
+            for b in range(a + 1, n):
+                code = (code << 1) | (adj[order[a]] >> order[b] & 1)
+        return code
+
+    best = min(leaves([list(range(n))]), key=encode)
+    pos = {v: i for i, v in enumerate(best)}
+    return Graph(n, [(pos[u], pos[v]) for u, v in edges])

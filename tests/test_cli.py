@@ -2,7 +2,7 @@ import json
 
 from pocfvs.cli import main
 from pocfvs.graph6 import encode
-from pocfvs import butterfly, cycle
+from pocfvs import butterfly, complete_bipartite, cycle
 
 
 def run(capsys, *argv):
@@ -111,6 +111,15 @@ def test_explore_forbid_and_g6(capsys, tmp_path):
     code, out, _ = run(capsys, "explore", "--g6-in", str(corpus), "--no-timestamp")
     assert code == 0
     assert "max difference: 1" in out
+
+
+def test_explore_g6_symmetric_graph(capsys, tmp_path):
+    # canonical labeling has no size cap; a 14-vertex star is cheap
+    corpus = tmp_path / "star.g6"
+    corpus.write_text(encode(complete_bipartite(1, 13)) + "\n")
+    code, out, _ = run(capsys, "explore", "--g6-in", str(corpus), "--no-timestamp")
+    assert code == 0
+    assert "graphs: 1  forests (ratio skipped): 1" in out
 
 
 def test_verify_suite(capsys):

@@ -6,12 +6,14 @@ import pytest
 from pocfvs import (
     Graph,
     InvalidInputError,
+    ResourceLimitError,
     butterfly,
     cycle,
     disjoint_union,
     hourglass_chain,
     path,
 )
+from pocfvs.graph import MAX_ORDER
 from pocfvs.iso import are_isomorphic
 from pocfvs.solvers import is_fvs
 
@@ -36,6 +38,15 @@ def test_graph_rejects_bad_edges():
     for bad_n in (2.5, "3"):
         with pytest.raises(InvalidInputError):
             Graph(bad_n)
+
+
+def test_graph_order_is_capped_before_allocation():
+    assert Graph(MAX_ORDER).n == MAX_ORDER
+    for huge in (MAX_ORDER + 1, 10**9, 2**63):
+        with pytest.raises(ResourceLimitError):
+            Graph(huge)
+    with pytest.raises(ResourceLimitError):
+        (MAX_ORDER // 2 + 1) * path(2)
 
 
 def test_vertex_sets_are_validated():

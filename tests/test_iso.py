@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from pocfvs import (
 )
 from pocfvs.harness import enumerate_connected
 from pocfvs.iso import (
+    _search,
     are_isomorphic,
     canonical_form,
     embeds_induced,
@@ -158,6 +160,42 @@ def test_canonical_forms_are_byte_stable():
 def test_complete_graph_canonicalization_is_fast():
     k8 = Graph(8, [(a, b) for a in range(8) for b in range(a + 1, 8)])
     assert canonical_form(k8) == k8
+
+
+def test_search_automorphisms_generate_the_group():
+    # a wrong automorphism would let the enumeration's orbit pruning drop a
+    # class, so every permutation is checked and the group it generates is
+    # counted against networkx's isomorphism enumeration
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            auts = _search(g._masks)[2]
+            for p in auts:
+                assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges()]) == g
+            group = {tuple(range(g.n))}
+            frontier = list(group)
+            while frontier:
+                x = frontier.pop()
+                for p in auts:
+                    y = tuple(p[v] for v in x)
+                    if y not in group:
+                        group.add(y)
+                        frontier.append(y)
+            G = nx.Graph(g.edges())
+            G.add_nodes_from(range(g.n))
+            assert len(group) == sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter()), g.edges()
+
+
+def test_symmetric_graphs_canonicalise_quickly():
+    # the exhaustive search visits up to n! leaves on these
+    for g in (complete_bipartite(1, 13), 5 * cycle(3), complete_bipartite(10, 10)):
+        perm = list(range(g.n))
+        random.Random(g.n).shuffle(perm)
+        start = time.perf_counter()
+        assert canonical_form(g.relabel(perm)) == canonical_form(g)
+        assert time.perf_counter() - start < 1.0, g
 
 
 def test_matching_determinism():

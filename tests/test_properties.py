@@ -1,6 +1,7 @@
 """Randomized structural properties, driven by hypothesis."""
 
 import math
+from datetime import timedelta
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from pocfvs.generators import _FAMILIES, from_spec, parse_spec_list
 from pocfvs.graph6 import decode, encode
 from pocfvs.iso import are_isomorphic, canonical_form
 from pocfvs.solvers import min_fvs
+
+from _oracles import canonical_form_exhaustive
 
 
 @st.composite
@@ -35,6 +38,19 @@ def test_canonical_form_permutation_invariant(g, rnd):
     assert c == canonical_form(g.relabel(perm))
     assert canonical_form(c) == c
     assert are_isomorphic(c, g)
+
+
+# copies of one graph are symmetric on purpose; the oracle's cost grows with
+# the automorphism group, so the copies stay within 9 vertices
+symmetric_graphs = st.integers(min_value=2, max_value=3).flatmap(
+    lambda k: graphs(max_n=9 // k).map(lambda g: k * g)
+)
+
+
+@given(st.one_of(graphs(max_n=9), symmetric_graphs))
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+def test_canonical_form_matches_the_exhaustive_search(g):
+    assert canonical_form(g) == canonical_form_exhaustive(g)
 
 
 @given(graphs(max_n=9))
