@@ -75,8 +75,7 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
                 for extra in _orbit_minima(base, _search(masks)[2]):
                     grown = [m | 1 << base if extra >> v & 1 else m for v, m in enumerate(masks)]
                     code, order, _ = _search((*grown, extra))
-                    if code not in seen:
-                        seen[code] = (g, extra, order)
+                    seen.setdefault(code, (g, extra, order))
             level = []
             for g, extra, order in seen.values():
                 h = Graph(n, g.edges() + tuple((v, base) for v in iter_bits(extra)))

@@ -6,14 +6,12 @@ intersection of the adjacency and non-adjacency constraints imposed by the
 already-matched vertices, so both edges and non-edges of the pattern are
 preserved (induced semantics).
 
-Canonical forms come from one search over the refinement tree, pruned by
-automorphisms (McKay and Piperno, "Practical graph isomorphism, II",
-2014). Cells are vertex bitmasks, refined until equitable; the first
-non-singleton cell branches on each of its vertices. The graph relabelled
-by the leaf order with the least adjacency code is the canonical form, and
-equal forms characterize isomorphism. Leaves with equal codes give
-automorphisms, which prune only branches that are images of explored ones,
-so the least code is that of the exhaustive search.
+Canonical forms come from one search over the refinement tree on cell
+bitmasks, pruned by the automorphisms it finds (McKay and Piperno,
+"Practical graph isomorphism, II", 2014). The graph relabelled by the leaf
+order with the least adjacency code is the canonical form, and equal forms
+characterize isomorphism. Pruning skips only branches that are images of
+explored ones, so the least code is that of the exhaustive search.
 """
 
 from __future__ import annotations
@@ -158,7 +156,7 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
     A leaf's code is the upper-triangle adjacency bits of the graph
     relabelled by its order, row by row. A leaf whose code equals the first
     or the best leaf's gives an automorphism ``p`` (``v`` maps to ``p[v]``)
-    and sends the search back to where the two paths part. A child in the
+    and sends the search back to where the two paths part; a child in the
     orbit of an explored sibling under the automorphisms fixing the path is
     skipped. The automorphisms returned generate the automorphism group.
     """
@@ -177,10 +175,7 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
             leaves[:] = [(code, order, path)] * 2
         for known, known_order, known_path in leaves:
             if code == known and order != known_order:
-                perm = [0] * n
-                for a, b in zip(known_order, order):
-                    perm[a] = b
-                auts.append(tuple(perm))
+                auts.append(tuple(b for _, b in sorted(zip(known_order, order))))
                 return next(d for d, (a, b) in enumerate(zip(known_path, path)) if a != b)
         if code < leaves[1][0]:
             leaves[1] = (code, order, path)
@@ -188,7 +183,6 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
 
     def visit(cells: list[int], path: tuple[int, ...]) -> int:
         """Explore a node; return the depth the search resumes at."""
-        depth = len(path)
         target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
             return leaf(cells, path)
@@ -206,9 +200,9 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
             explored |= 1 << v
             child = cells[:target] + [1 << v, cell ^ 1 << v] + cells[target + 1 :]
             back = visit(_refine(masks, child, [1 << v]), path + (v,))
-            if back < depth:
+            if back < len(path):
                 return back
-        return depth
+        return len(path)
 
     full = (1 << n) - 1
     visit(_refine(masks, [full] if n else [], [full]), ())
