@@ -162,6 +162,21 @@ def test_enumeration_and_canonical_keys_match_the_networkx_atlas():
     assert counts == [1, 1, 2, 6, 21, 112, 853]
 
 
+def test_filtered_level_counts_match_oeis():
+    # independent oracle: published counts of five hereditary classes of
+    # connected graphs, n = 1..8; they check the growth, the matcher and
+    # the family filter with numbers none of them produced
+    trees = [sum(g.is_acyclic() for g in enumerate_connected(n)) for n in range(1, 9)]
+    assert trees == [1, 1, 1, 2, 3, 6, 11, 23]  # A000055, trees
+    for family, counts in [
+        ((path(4),), [1, 1, 2, 5, 12, 33, 90, 261]),  # A000669, cographs
+        ((claw(),), [1, 1, 2, 5, 14, 50, 191, 881]),  # A022562, claw-free
+        ((cycle(3),), [1, 1, 1, 3, 6, 19, 59, 267]),  # A024607, triangle-free
+        ((cycle(3), cycle(5), cycle(7)), [1, 1, 1, 3, 5, 17, 44, 182]),  # A005142, bipartite
+    ]:
+        assert [len(enumerate_connected(n, family)) for n in range(1, 9)] == counts
+
+
 def test_enumeration_limits():
     with pytest.raises(ResourceLimitError):
         enumerate_connected(10)

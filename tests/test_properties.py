@@ -3,13 +3,22 @@
 import math
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pocfvs import Graph, InvalidInputError, ResourceLimitError, disjoint_union, is_fvs
+from pocfvs import (
+    Graph,
+    InvalidInputError,
+    ResourceLimitError,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    is_fvs,
+)
 from pocfvs.generators import _FAMILIES, from_spec, parse_spec_list
 from pocfvs.graph6 import decode, encode
-from pocfvs.iso import are_isomorphic, canonical_form
+from pocfvs.iso import are_isomorphic, canonical_form, find_induced_embedding
 from pocfvs.solvers import min_fvs
 
 from _oracles import canonical_form_exhaustive
@@ -51,6 +60,36 @@ symmetric_graphs = st.integers(min_value=2, max_value=3).flatmap(
 @settings(max_examples=150, deadline=timedelta(seconds=10))
 def test_canonical_form_matches_the_exhaustive_search(g):
     assert canonical_form(g) == canonical_form_exhaustive(g)
+
+
+symmetric_hosts = st.one_of(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda ab: complete_bipartite(*ab)),
+    st.integers(3, 12).map(cycle),
+    st.integers(2, 4).map(lambda k: k * cycle(3)),
+)
+
+
+@given(graphs(max_n=6), st.one_of(graphs(max_n=12), symmetric_hosts))
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+def test_induced_embedding_agrees_with_networkx(pattern, host):
+    # independent oracle: networkx's VF2 subgraph test is node-induced
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def as_nx(g):
+        out = nx.Graph()
+        out.add_nodes_from(range(g.n))
+        out.add_edges_from(g.edges())
+        return out
+
+    phi = find_induced_embedding(pattern, host)
+    assert (phi is not None) == GraphMatcher(as_nx(host), as_nx(pattern)).subgraph_is_isomorphic()
+    if phi is not None:
+        assert sorted(phi) == list(range(pattern.n))
+        assert len(set(phi.values())) == pattern.n
+        for u in range(pattern.n):
+            for v in range(u + 1, pattern.n):
+                assert pattern.has_edge(u, v) == host.has_edge(phi[u], phi[v])
 
 
 @given(graphs(max_n=9))
