@@ -29,6 +29,7 @@ from .cover import (
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import graph_from_text, parse_spec_list, from_spec
 from .graph import Graph
+from .iso import free_filter
 from .harness import (
     EnumerationSpec,
     evaluate_graphs,
@@ -175,10 +176,19 @@ def _cmd_connectify(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    forbidden = tuple(load_family(args.forbid)) if args.forbid else ()
+    forbidden = ()
+    if args.forbid is not None:
+        forbidden = tuple(load_family(args.forbid))
+        if not forbidden:
+            raise InvalidInputError("the family must be nonempty")
     if args.g6_in:
         graphs = graph6.read_file(args.g6_in)
-        report = evaluate_graphs(graphs, f"graph6 file {args.g6_in}", args.limit)
+        label = f"graph6 file {args.g6_in}"
+        if forbidden:
+            free = free_filter(forbidden)
+            graphs = [g for g in graphs if free(g)]
+            label += f", forbidding {len(forbidden)} pattern(s)"
+        report = evaluate_graphs(graphs, label, args.limit)
     else:
         spec = EnumerationSpec(n_max=args.n_max, forbidden=forbidden)
         report = max_poc(spec, args.limit)

