@@ -221,6 +221,27 @@ def test_max_poc_report_is_byte_stable():
     assert hashlib.sha256(report.encode()).hexdigest() == MAX_POC_7_DIGEST
 
 
+# sha256 of filtered reports as the reference implementation wrote them; a
+# filtered level must pair each representative with its own canonical ID
+FILTERED_MAX_POC_DIGESTS = {
+    "P5<=7": "dacde89ff7bb2e7bad2180dddb9b595535c9f404cc980aed1eb18fa94fbd5a78",
+    "P4<=8": "3d9a596990d4db96155f9faa4ffe53fe170472e89bc3eff52660eeea41a84763",
+    "claw<=7": "42317ef2828823f69772bbb62214b2ac483820afcc6d5895d9a6f6ec74351e2e",
+}
+
+
+def test_filtered_max_poc_reports_are_byte_stable():
+    digests = {}
+    for name, family, n_max in [
+        ("P5<=7", (path(5),), 7),
+        ("P4<=8", (path(4),), 8),
+        ("claw<=7", (claw(),), 7),
+    ]:
+        report = max_poc(EnumerationSpec(n_max=n_max, forbidden=family)).to_json(None)
+        digests[name] = hashlib.sha256(report.encode()).hexdigest()
+    assert digests == FILTERED_MAX_POC_DIGESTS
+
+
 def test_max_poc_p3_free_all_equal():
     report = max_poc(EnumerationSpec(n_max=7, forbidden=(path(3),)))
     assert all(r.ratio in (None, Fraction(1)) for r in report.records)
