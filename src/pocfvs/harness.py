@@ -9,9 +9,12 @@ That candidate survives the pruning: a smaller automorphic image of its
 neighborhood would give an isomorphic candidate generated earlier. This
 growth runs once per order, and its levels are cached for the lifetime of
 the process, keyed by the order alone; the experiment drivers lean on that
-cache heavily. A forbidden family is applied by filtering the cached level.
-Because freeness is hereditary, that keeps exactly the representatives a
-growth restricted to free graphs would find.
+cache heavily. The cache maps each representative to its canonical form,
+which the growth builds anyway to sort the level, so ``evaluate_graphs``
+names a level graph without a second canonical search. A forbidden family
+is applied by filtering the cached level. Because freeness is hereditary,
+that keeps exactly the representatives a growth restricted to free graphs
+would find.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
 from .iso import _search, canonical_form, embeds_induced, free_filter, is_linear_forest
-from .solvers import min_cfvs, min_fvs
+from .solvers import fvs_and_cfvs
 
 MAX_ENUMERATION_ORDER = 8
 
-_LEVEL_CACHE: dict[int, list[Graph]] = {}
+# order -> {representative: its canonical form}, in level order
+_LEVEL_CACHE: dict[int, dict[Graph, Graph]] = {}
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
         return [g for g in enumerate_connected(n) if free(g)]
     if n not in _LEVEL_CACHE:
         if n == 1:
-            _LEVEL_CACHE[n] = [Graph(1)]
+            _LEVEL_CACHE[n] = {Graph(1): Graph(1)}
         else:
             # code -> (parent, neighbourhood of the new vertex, canonical order)
             seen: dict[int, tuple[Graph, int, tuple[int, ...]]] = {}
@@ -77,11 +81,11 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
                     grown = [m | 1 << base if extra >> v & 1 else m for v, m in enumerate(masks)]
                     code, order, _ = _search((*grown, extra))
                     seen.setdefault(code, (g, extra, order))
-            level = []
+            level = {}
             for g, extra, order in seen.values():
                 h = Graph(n, g.edges() + tuple((v, base) for v in iter_bits(extra)))
-                level.append((h.relabel(order).edges(), h))
-            _LEVEL_CACHE[n] = [h for _, h in sorted(level)]
+                level[h] = h.relabel(order)  # the order _search found on h's masks
+            _LEVEL_CACHE[n] = dict(sorted(level.items(), key=lambda item: item[1].edges()))
     return list(_LEVEL_CACHE[n])
 
 
@@ -196,13 +200,18 @@ class ExperimentReport:
 
 
 def evaluate_graphs(graphs, spec_label: str, limit: int | None = None) -> ExperimentReport:
+    """Exact fvs and cfvs of each connected graph, keyed by canonical graph6.
+
+    A graph the level cache holds takes its cached canonical form; any
+    other graph is canonicalised here.
+    """
     report = ExperimentReport(spec=spec_label)
     for g in graphs:
         if not g.is_connected():
             continue
-        f = min_fvs(g, limit).optimum
-        c = min_cfvs(g, limit).optimum
-        gid = graph6.encode(canonical_form(g))
+        f, c = fvs_and_cfvs(g, limit)
+        form = _LEVEL_CACHE.get(g.n, {}).get(g)
+        gid = graph6.encode(canonical_form(g) if form is None else form)
         ratio = Fraction(c, f) if f > 0 else None
         report.records.append(GraphRecord(gid, g.n, f, c, ratio, c - f))
     report.records.sort(key=lambda r: (r.order, r.graph_id))
@@ -285,14 +294,14 @@ def unboundedness_witnesses(h: Graph, count: int, limit: int | None = None):
                     "a class-iii pattern contains P_6 or P_4+P_2, so hourglass "
                     "chains must avoid it"
                 )
-            out.append((lk, min_fvs(lk, limit).optimum, min_cfvs(lk, limit).optimum))
+            out.append((lk, *fvs_and_cfvs(lk, limit)))
         return out
     i, j = verdict.uncovered_pair
     k = 1
     while len(out) < count:
         b = butterfly(i, j, k)
         if h_free(b):
-            out.append((b, min_fvs(b, limit).optimum, min_cfvs(b, limit).optimum))
+            out.append((b, *fvs_and_cfvs(b, limit)))
         k += 1
     return out
 
@@ -346,8 +355,7 @@ def gprime_experiment(t_max: int, pattern_order: int = 12) -> SubdivisionReport:
     prev_cfvs = None
     for t in range(1, t_max + 1):
         g = gprime(t)
-        f = min_fvs(g, limit=g.n).optimum
-        c = min_cfvs(g, limit=g.n).optimum
+        f, c = fvs_and_cfvs(g, g.n)
         free = butterfly_free(g)
         if f != 2:
             raise ContradictionError(f"subdivided doubled triangle t={t} has fvs {f} != 2")

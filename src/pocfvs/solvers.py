@@ -9,6 +9,12 @@ exhaustive search whose optimality follows from its search order alone:
   the one subset search, :func:`first_subset`: candidate vertex sets in
   increasing cardinality, lexicographically within a size, and the first
   feasible one wins. The constructive module's exhaustive minima use it too.
+* The public ``min_cfvs`` walks from the empty set, so its ``explored``
+  counts every set it rejects. Callers that already hold fvs(G)
+  (``poc_ratio``, ``poc_difference`` and the harness drivers) start the
+  same walk at size fvs(G) instead: every connected FVS is an FVS, so no
+  smaller set is accepted, and the first set accepted, the witness, is the
+  same.
 
 Ratios are exact rationals; nothing here touches floating point.
 """
@@ -179,13 +185,25 @@ def min_cfvs(g: Graph, limit: int | None = None) -> SolveResult:
     _guard(g, limit)
     if not g.is_connected():
         raise InvalidInputError("connected feedback vertex set needs a connected graph")
+    m, explored = _cfvs_walk(g, 0)
+    return SolveResult(m.bit_count(), frozenset(iter_bits(m)), explored)
+
+
+def _cfvs_walk(g: Graph, start: int) -> tuple[int, int]:
+    """The :func:`min_cfvs` subset walk from size ``start``: (witness mask, sets tried).
+
+    ``g`` must be connected and already guarded. Any ``start`` up to fvs(g)
+    returns the same mask, since no smaller set is an FVS.
+    """
     full = g.full_mask
     m, explored = first_subset(
-        full, lambda c: (not c or g.mask_is_connected(c)) and g.mask_is_acyclic(full & ~c)
+        full,
+        lambda c: (not c or g.mask_is_connected(c)) and g.mask_is_acyclic(full & ~c),
+        start=start,
     )
     if m is None:
         raise ContradictionError("the full vertex set is always a connected FVS")
-    return SolveResult(m.bit_count(), frozenset(iter_bits(m)), explored)
+    return m, explored
 
 
 def min_ds(g: Graph, limit: int | None = None) -> SolveResult:
@@ -258,18 +276,28 @@ def normalize_min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
     )
 
 
+def fvs_and_cfvs(g: Graph, limit: int | None = None) -> tuple[int, int]:
+    """fvs and cfvs of a connected graph, the cfvs walk starting at fvs.
+
+    The caller checks connectivity; the limit applies through ``min_fvs``.
+    """
+    f = min_fvs(g, limit).optimum
+    return f, _cfvs_walk(g, f)[0].bit_count()
+
+
 def poc_ratio(g: Graph, limit: int | None = None) -> Fraction:
     """Exact cfvs/fvs ratio; undefined (input error) when fvs is 0."""
     if not g.is_connected():
         raise InvalidInputError("the connectivity price is defined for connected graphs")
-    f = min_fvs(g, limit).optimum
+    f, c = fvs_and_cfvs(g, limit)
     if f == 0:
         raise InvalidInputError("ratio undefined for forests (fvs = 0)")
-    c = min_cfvs(g, limit).optimum
     return Fraction(c, f)
 
 
 def poc_difference(g: Graph, limit: int | None = None) -> int:
+    """Exact cfvs - fvs."""
     if not g.is_connected():
         raise InvalidInputError("the connectivity price is defined for connected graphs")
-    return min_cfvs(g, limit).optimum - min_fvs(g, limit).optimum
+    f, c = fvs_and_cfvs(g, limit)
+    return c - f

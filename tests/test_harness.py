@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -175,6 +176,44 @@ def test_filtered_level_counts_match_oeis():
         ((cycle(3), cycle(5), cycle(7)), [1, 1, 1, 3, 5, 17, 44, 182]),  # A005142, bipartite
     ]:
         assert [len(enumerate_connected(n, family)) for n in range(1, 9)] == counts
+
+
+def test_level_cache_holds_each_canonical_form():
+    from pocfvs import harness
+
+    for n in range(1, 9):
+        enumerate_connected(n)
+        level = harness._LEVEL_CACHE[n]
+        assert list(level) == enumerate_connected(n)
+        for h, form in level.items():
+            assert form == canonical_form(h)
+
+
+def test_max_poc_takes_level_forms_from_the_cache(monkeypatch):
+    from pocfvs import harness
+
+    def no_search(g):
+        raise AssertionError("a level graph was canonicalised again")
+
+    monkeypatch.setattr(harness, "canonical_form", no_search)
+    assert len(max_poc(EnumerationSpec(n_max=6, forbidden=(claw(),))).records) == 73
+
+
+def test_evaluate_graphs_names_relabelled_graphs_canonically():
+    # relabelled copies miss the level cache and are canonicalised afresh
+    from pocfvs import harness
+
+    rnd = random.Random(12)
+    copies = []
+    for g in enumerate_connected_upto(7):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        copies.append(g.relabel(perm))
+    rnd.shuffle(copies)
+    assert sum(c not in harness._LEVEL_CACHE[c.n] for c in copies) > len(copies) // 2
+    expected = max_poc(EnumerationSpec(n_max=7))
+    report = evaluate_graphs(copies, expected.spec)
+    assert report.to_json(None) == expected.to_json(None)
 
 
 def test_enumeration_limits():

@@ -19,6 +19,8 @@ from pocfvs import (
 )
 from pocfvs.harness import enumerate_connected
 from pocfvs.solvers import (
+    _cfvs_walk,
+    fvs_and_cfvs,
     is_cfvs,
     is_fvs,
     lies_on_cycle,
@@ -149,6 +151,30 @@ def test_poc_ratio_and_difference():
     assert poc_difference(path(9)) == 0
     with pytest.raises(InvalidInputError):
         poc_ratio(path(4))
+
+
+def test_poc_ratio_and_difference_match_the_two_solvers():
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            f, c = min_fvs(g).optimum, min_cfvs(g).optimum
+            assert fvs_and_cfvs(g) == (f, c)
+            assert poc_difference(g) == c - f
+            if f:
+                assert poc_ratio(g) == Fraction(c, f)
+    # the size limit still applies, through min_fvs
+    with pytest.raises(ResourceLimitError):
+        poc_difference(path(25))
+
+
+def test_cfvs_walk_from_fvs_finds_the_same_witness():
+    # no set smaller than fvs is an FVS, so starting there skips only rejects
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            f = min_fvs(g).optimum
+            from_zero, tried_from_zero = _cfvs_walk(g, 0)
+            from_fvs, tried_from_fvs = _cfvs_walk(g, f)
+            assert from_fvs == from_zero
+            assert tried_from_fvs <= tried_from_zero
 
 
 def test_resource_limit_and_env(monkeypatch):
