@@ -213,8 +213,15 @@ def _cmd_verify(args) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as a one-line input error."""
+
+    def error(self, message):
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pocfvs",
         description="Exact feedback-vertex-set connectivity-price toolkit",
     )
@@ -283,9 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InvalidInputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -1,5 +1,15 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pocfvs import cli
 from pocfvs.cli import main
 from pocfvs.graph6 import encode
 from pocfvs import butterfly, complete_bipartite, cycle
@@ -192,3 +202,126 @@ def test_connectify_limit_comes_from_the_environment(capsys, monkeypatch):
 def test_precondition_exit_code(capsys):
     code, _, err = run(capsys, "connectify", "P6", "--method", "p5")
     assert code == 2
+
+
+# -- fuzzing -----------------------------------------------------------------
+
+# small numbers only, so that no drawn graph, order or count starts a long run
+small_ints = st.integers(-2, 6).map(str)
+
+
+def _graph6_bodies(n, slack):
+    size = max(0, (n * (n - 1) // 2 + 5) // 6 + slack)
+    body = st.text(alphabet=[chr(c) for c in range(63, 127)], min_size=size, max_size=size)
+    return body.map(lambda text: chr(63 + n) + text)
+
+
+graph6_lines = st.tuples(
+    st.sampled_from(["", ">>graph6<<"]),
+    st.one_of(
+        # an order byte for 0..8 vertices, then body bytes of the right or a wrong length
+        st.tuples(st.integers(0, 8), st.integers(-1, 1)).flatmap(lambda t: _graph6_bodies(*t)),
+        st.text(max_size=6),
+    ),
+).map("".join)
+atoms = st.one_of(
+    st.sampled_from(["claw", "hourglass", "threeP1", "K3", "X"]),
+    st.tuples(st.sampled_from("PC"), small_ints).map("".join),
+    st.tuples(
+        st.sampled_from(["butterfly", "kbip", "spider", "tadpole", "Lk", "gprime", "nope"]),
+        st.lists(small_ints, max_size=4),
+    ).map(lambda t: f"{t[0]}:{','.join(t[1])}"),
+)
+specs = st.one_of(
+    st.lists(atoms, min_size=1, max_size=3).map("+".join),
+    st.tuples(st.integers(0, 3), atoms).map(lambda t: f"{t[0]}{t[1]}"),
+    graph6_lines.map(lambda line: f"g6:{line}"),
+    st.just("file:CORPUS"),
+    st.text(max_size=8),
+)
+tokens = st.one_of(
+    specs,
+    small_ints,
+    st.tuples(small_ints, small_ints).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.lists(specs, min_size=1, max_size=3).map(";".join),
+    st.sampled_from(
+        ["--fvs", "--cfvs", "--ds", "--cds", "--limit", "--json", "--brute", "--symbolic",
+         "--both", "--range", "--witnesses", "--method", "paths", "p5", "sp3", "--s",
+         "--trace", "--n-max", "--forbid", "--g6-in", "--out", "--no-timestamp", "CORPUS",
+         "-h"]
+    ),
+    st.text(max_size=8),
+)
+
+
+def _each(*args):
+    """One argument from each strategy, in order."""
+    return st.tuples(*args).map(list)
+
+
+def _maybe(*args):
+    """Either no arguments or one from each strategy."""
+    return st.one_of(st.just([]), _each(*args))
+
+
+def _runs(*runs):
+    """The concatenation of argument runs, each drawn from its strategy."""
+    return st.tuples(*runs).map(lambda drawn: [a for run in drawn for a in run])
+
+
+one = st.just
+modes = st.sampled_from(["--fvs", "--cfvs", "--ds", "--cds", "--brute", "--symbolic", "--both"])
+spec_lists = st.lists(specs, min_size=1, max_size=3).map(";".join)
+# argv shaped like each command's usage, whose arguments may still be malformed;
+# verify is left out because its suites take no input and run for seconds
+shaped = st.one_of(
+    _runs(
+        _each(one("solve"), specs),
+        _maybe(modes),
+        _maybe(one("--limit"), small_ints),
+        _maybe(one("--json")),
+    ),
+    _runs(_each(one("covers"), specs, small_ints, small_ints), _maybe(modes)),
+    _each(one("table"), specs, one("--range"), tokens),
+    _runs(
+        _each(one("classify"), specs), _maybe(specs), _maybe(one("--witnesses"), small_ints)
+    ),
+    _each(one("classify-family"), spec_lists),
+    _runs(
+        _each(one("connectify"), specs, one("--method"), st.sampled_from(["paths", "p5", "sp3"])),
+        _maybe(one("--s"), small_ints),
+        _maybe(one("--trace"), one("trace.json")),
+    ),
+    _runs(
+        _each(one("explore"), one("--no-timestamp")),
+        _maybe(one("--n-max"), small_ints),
+        _maybe(one("--forbid"), spec_lists),
+        _maybe(one("--g6-in"), one("CORPUS")),
+        _maybe(one("--out"), one("report.json")),
+    ),
+)
+commands = st.sampled_from(
+    ["solve", "covers", "table", "classify", "classify-family", "connectify", "explore"]
+)
+argvs = st.one_of(shaped, _runs(_each(commands), st.lists(tokens, max_size=6)))
+
+
+@given(argvs, st.lists(graph6_lines, max_size=3))
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+def test_cli_fails_cleanly_on_any_input(args, corpus_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "corpus.g6")
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(corpus_lines))
+        argv = [a.replace("CORPUS", corpus) for a in args]
+        out, err = io.StringIO(), io.StringIO()
+        # no report or trace is written anywhere; their write errors are tested above
+        with mock.patch.object(cli, "_write"), redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+    message = err.getvalue()
+    assert code in (0, 2, 3), (argv, message)
+    assert "Traceback" not in message
+    assert message.count("\n") == (code != 0), (argv, message)
