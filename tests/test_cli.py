@@ -229,7 +229,7 @@ atoms = st.one_of(
     st.tuples(st.sampled_from("PC"), small_ints).map("".join),
     st.tuples(
         st.sampled_from(["butterfly", "kbip", "spider", "tadpole", "Lk", "gprime", "nope"]),
-        st.lists(small_ints, max_size=4),
+        st.lists(small_ints, max_size=6),
     ).map(lambda t: f"{t[0]}:{','.join(t[1])}"),
 )
 specs = st.one_of(
