@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from pocfvs import (
@@ -31,6 +34,8 @@ from pocfvs.cover import (
 )
 from pocfvs.iso import are_isomorphic, embeds_induced
 from pocfvs.verification import oracle_catalog
+
+from _oracles import enumerate_all_graphs
 
 
 def test_cover_context():
@@ -70,12 +75,33 @@ def test_structure_profiles():
     assert structure_profile(3 * cycle(3)).kind == NOT_BUTTERFLY
 
 
+def _graphs_upto_7():
+    """The empty graph and every graph, connected or not, on 1..7 vertices."""
+    return [Graph(0)] + [g for n in range(1, 8) for g in enumerate_all_graphs(n)]
+
+
 def test_profile_reassembly_matches_input():
-    for name, h in oracle_catalog():
+    named = oracle_catalog() + [(f"g{k}", g) for k, g in enumerate(_graphs_upto_7())]
+    for name, h in named:
         prof = structure_profile(h)
         if prof.kind == NOT_BUTTERFLY:
             continue
         assert are_isomorphic(prof.reassemble(), h), name
+
+
+# sha256 of json.dumps([kind, tadpoles, spiders, linear_forest]) of the
+# structure profile of every graph in _graphs_upto_7, as the reference
+# implementation computed them
+STRUCTURE_PROFILES_DIGEST = "0732e403887fd0c344eae79093e607e1ab3b65c4d244c653745cc2f379e5067c"
+
+
+def test_structure_profiles_are_byte_stable():
+    h = hashlib.sha256()
+    for g in _graphs_upto_7():
+        p = structure_profile(g)
+        h.update(json.dumps([p.kind, p.tadpoles, p.spiders, p.linear_forest]).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == STRUCTURE_PROFILES_DIGEST
 
 
 def test_pairset_primitives():

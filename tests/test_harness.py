@@ -313,6 +313,22 @@ def test_tetrachotomy_spot_checks():
     assert res.constant == 42
 
 
+# sha256 of json.dumps([verdict, reason, constant, uncovered_pair]) of the
+# tetrachotomy of every graph, connected or not, on 1..7 vertices, as the
+# reference implementation computed them
+TETRACHOTOMY_DIGEST = "d3239d81b5f1688a452ea62044cb6c735aea2d69d023c07c3b964e8aaeebc63b"
+
+
+def test_tetrachotomy_is_byte_stable():
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for g in enumerate_all_graphs(n):
+            r = tetrachotomy_classify(g)
+            h.update(json.dumps([r.verdict, r.reason, r.constant, r.uncovered_pair]).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == TETRACHOTOMY_DIGEST
+
+
 def test_unboundedness_witnesses_triangle():
     wits = unboundedness_witnesses(cycle(3), 3)
     assert len(wits) == 3
