@@ -12,8 +12,10 @@ set of a graph:
   two special components (tadpoles D and 3-leg spiders T) and maps that
   shape to a closed-form region of the (i, j) quarter-plane.
 
-The two routes must agree exactly; the test suite enforces this on a
-catalog spanning every decomposition shape.
+The symbolic route reads each component's shape off its edge count and
+degrees and runs no matcher, so the two routes share no matching code. They
+must agree exactly; the test suite enforces this on a catalog spanning
+every decomposition shape.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 from .errors import ContradictionError, InvalidInputError
 from .generators import butterfly, path, spider, tadpole
-from .graph import Graph, disjoint_union
-from .iso import are_isomorphic, embeds_induced, is_linear_forest
+from .graph import Graph, disjoint_union, iter_bits
+from .iso import embeds_induced, is_linear_forest
 
 # profile kinds
 NOT_BUTTERFLY = "not-butterfly-subgraph"
@@ -100,52 +102,40 @@ class StructureProfile:
         return out
 
 
-def _classify_component(comp: Graph):
-    """Return ("path", k) / ("tadpole", (t, r)) / ("spider", legs) / None."""
-    n, m = comp.n, comp.edge_count
-    if m == n - 1 and comp.max_degree() <= 2:
-        return ("path", n)
-    if m == n:
-        # unicyclic: try every cycle length with the matching tail
-        for r in range(3, n + 1):
-            if are_isomorphic(comp, tadpole(n - r, r)):
-                return ("tadpole", (n - r, r))
-        return None
-    if m == n - 1:
-        # tree: try every leg split around a single center
-        for a in range(1, n):
-            for b in range(a, n):
-                c = n - 1 - a - b
-                if c < b:
-                    break
-                if are_isomorphic(comp, spider(a, b, c)):
-                    return ("spider", (a, b, c))
-        return None
-    return None
-
-
 def structure_profile(h: Graph) -> StructureProfile:
-    """Match each component against the admissible shapes and combine.
+    """Read each component's shape off its edge count and degrees, and combine.
 
-    Path components form the linear forest. At most two non-path
-    components are allowed, and each must be a tadpole or a spider;
-    otherwise the graph embeds in no long-bridge butterfly at all.
+    A component fits only as a path, a tadpole or a 3-leg spider: it has
+    n - 1 or n edges, no degree above 3, and at most one vertex of degree
+    3, the hub. Without a hub it is a path or a cycle D(0, n). Removing the
+    hub leaves a spider's three legs, or a tadpole's tail (which the hub
+    meets once) and the rest of its cycle. Path components form the linear
+    forest; more than two other components embed in no long-bridge
+    butterfly at all.
     """
     forest: list[int] = []
     tadpoles: list[tuple[int, int]] = []
     spiders: list[tuple[int, int, int]] = []
-    for members in h.connected_components():
-        comp, _ = h.induced_subgraph(members)
-        shape = _classify_component(comp)
-        if shape is None:
+    for comp in h.mask_components(h.full_mask):
+        n = comp.bit_count()
+        degree = {v: h.degree(v) for v in iter_bits(comp)}
+        m = sum(degree.values()) // 2
+        hubs = [v for v, d in degree.items() if d == 3]
+        if m not in (n - 1, n) or max(degree.values()) > 3 or len(hubs) > 1:
             return StructureProfile(NOT_BUTTERFLY)
-        tag, params = shape
-        if tag == "path":
-            forest.append(params)
-        elif tag == "tadpole":
-            tadpoles.append(params)
+        if not hubs:
+            if m == n - 1:
+                forest.append(n)
+            else:
+                tadpoles.append((0, n))
+            continue
+        hub = hubs[0]
+        pieces = h.mask_components(comp & ~(1 << hub))
+        if m == n - 1:
+            spiders.append(tuple(sorted(p.bit_count() for p in pieces)))
         else:
-            spiders.append(params)
+            tail = next(p for p in pieces if (h.mask(hub) & p).bit_count() == 1).bit_count()
+            tadpoles.append((tail, n - tail))
     if len(tadpoles) + len(spiders) > 2:
         return StructureProfile(NOT_BUTTERFLY)
     tadpoles.sort(key=lambda tr: (tr[1], tr[0]))

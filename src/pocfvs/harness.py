@@ -29,7 +29,7 @@ from .cover import ClassificationResult, family_covers_all
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
-from .iso import _search, canonical_form, embeds_induced, free_filter, is_linear_forest
+from .iso import _Pattern, _search, canonical_form, free_filter, is_linear_forest
 from .solvers import fvs_and_cfvs
 
 MAX_ENUMERATION_ORDER = 8
@@ -238,8 +238,17 @@ def tetrachotomy_classify(h: Graph) -> ClassificationResult:
     (h embeds in P_5 + s*P_1 or in s*P_3); class-iii: multiplicative
     constant (h is a linear forest); class-iv: no constant at all.
     """
-    n = max(1, h.n)
-    if embeds_induced(h, path(3)):
+    if not is_linear_forest(h):
+        # P_3, P_5 + s*P_1 and s*P_3 are linear forests, and so is every
+        # induced subgraph of one
+        return ClassificationResult(
+            verdict="class-iv",
+            bounded=False,
+            reason="not a linear forest; butterflies witness unbounded ratio",
+            uncovered_pair=family_covers_all([h]).uncovered_pair,
+        )
+    find = _Pattern(h).find
+    if find(path(3)) is not None:
         return ClassificationResult(
             verdict="class-i",
             bounded=True,
@@ -247,8 +256,9 @@ def tetrachotomy_classify(h: Graph) -> ClassificationResult:
             constant=0,
         )
     # the least s that embeds h; h has n vertices, so it needs no more than n copies
-    s_p5 = next((s for s in range(n + 1) if embeds_induced(h, path(5) + s * path(1))), None)
-    s_p3 = next((s for s in range(1, n + 1) if embeds_induced(h, s * path(3))), None)
+    n = max(1, h.n)
+    s_p5 = next((s for s in range(n + 1) if find(path(5) + s * path(1)) is not None), None)
+    s_p3 = next((s for s in range(1, n + 1) if find(s * path(3)) is not None), None)
     constants = [f(s) for f, s in ((p5sp1_constant, s_p5), (sp3_constant, s_p3)) if s is not None]
     if constants:
         return ClassificationResult(
@@ -257,18 +267,11 @@ def tetrachotomy_classify(h: Graph) -> ClassificationResult:
             reason="embeds in P_5 + s*P_1 or in s*P_3; additive constant suffices",
             constant=min(constants),
         )
-    if is_linear_forest(h):
-        return ClassificationResult(
-            verdict="class-iii",
-            bounded=True,
-            reason="a linear forest; multiplicative constant suffices",
-            constant=4 * (2 * h.n + 1),
-        )
     return ClassificationResult(
-        verdict="class-iv",
-        bounded=False,
-        reason="not a linear forest; butterflies witness unbounded ratio",
-        uncovered_pair=family_covers_all([h]).uncovered_pair,
+        verdict="class-iii",
+        bounded=True,
+        reason="a linear forest; multiplicative constant suffices",
+        constant=4 * (2 * h.n + 1),
     )
 
 

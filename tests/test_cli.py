@@ -65,6 +65,10 @@ def test_classify_single(capsys):
     assert "class-iv" in out
     assert "uncovered pair: (4, 4)" in out
     assert out.count("witness n=") == 2
+    # not a linear forest, so class iv without building any s*P_3 host
+    code, out, _ = run(capsys, "classify", "cycle:510", "--witnesses", "1")
+    assert code == 0
+    assert "cycle:510: class-iv" in out
 
 
 def test_classify_pair(capsys):
