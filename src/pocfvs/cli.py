@@ -23,6 +23,7 @@ from .cover import (
     covers_bruteforce,
     classify_pair,
     family_covers_all,
+    pairs_for_profile,
     render_pair_table,
     structure_profile,
 )
@@ -109,8 +110,9 @@ def _cmd_table(args) -> int:
     except ValueError:
         raise InvalidInputError(f"--range must look like 3..12, got {args.range!r}") from None
     profile = structure_profile(h)
+    table = render_pair_table(pairs_for_profile(profile), lo, hi)
     print(f"profile: {profile.describe()}")
-    print(render_pair_table(covered_pairs(h), lo, hi))
+    print(table)
     return EXIT_OK
 
 
@@ -142,8 +144,8 @@ def _cmd_classify_family(args) -> int:
     print(f"family of {len(family)}: {res.verdict}")
     print(f"reason: {res.reason}")
     if res.bounded:
-        ctx = CoverContext.for_graphs(family)
-        print(f"certified ratio constant: {4 * ctx.N} (bridge context {ctx.N})")
+        n_ctx = CoverContext.for_graphs(family).N
+        print(f"certified ratio constant: {res.constant} (bridge context {n_ctx})")
     elif res.uncovered_pair is not None:
         print(f"uncovered pair: {res.uncovered_pair}")
         print(f"witness family: {res.witness}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContradictionError, InvalidInputError
+from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, path, spider, tadpole
 from .graph import Graph, disjoint_union, iter_bits
 from .iso import embeds_induced, is_linear_forest
@@ -35,6 +35,9 @@ LF_DD = "LF+D+D"
 LF_T = "LF+T"
 LF_TT = "LF+T+T"
 LF_DT = "LF+D+T"
+
+# the most values per side render_pair_table draws; the grid is quadratic
+MAX_TABLE_SIDE = 100
 
 
 @dataclass(frozen=True)
@@ -384,6 +387,10 @@ def render_pair_table(ps: PairSet, lo: int, hi: int) -> str:
     """A tick grid of the covered pairs for i, j in [lo, hi]."""
     if lo < 3 or hi < lo:
         raise InvalidInputError(f"need 3 <= lo <= hi, got {lo}..{hi}")
+    if hi - lo + 1 > MAX_TABLE_SIDE:
+        raise ResourceLimitError(
+            f"range {lo}..{hi} has {hi - lo + 1} values per side, the limit is {MAX_TABLE_SIDE}"
+        )
     width = max(len(str(hi)), 1)
     header = " " * (width + 2) + " ".join(f"{j:>{width}}" for j in range(lo, hi + 1))
     lines = [header]

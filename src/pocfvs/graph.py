@@ -122,7 +122,10 @@ class Graph:
     def __rmul__(self, s: int) -> "Graph":
         if not isinstance(s, int) or s < 0:
             raise InvalidInputError(f"copy count must be a non-negative integer, got {s!r}")
-        n, edges = self.n, self.edges()
+        n = self.n
+        if s * n > MAX_ORDER:  # refuse before the edge list is built
+            raise ResourceLimitError(f"graph has {s * n} vertices, the limit is {MAX_ORDER}")
+        edges = self.edges()
         return Graph(s * n, [(u + k * n, v + k * n) for k in range(s) for u, v in edges])
 
     def relabel(self, order: Iterable[int]) -> "Graph":

@@ -80,7 +80,11 @@ def test_classify_pair(capsys):
 def test_classify_family(capsys):
     code, out, _ = run(capsys, "classify-family", "C3;2claw")
     assert code == 0
-    assert "bounded" in out
+    assert out.splitlines() == [
+        "family of 2: bounded",
+        "reason: every pair (i, j) with i, j >= 3 is covered",
+        "certified ratio constant: 68 (bridge context 17)",
+    ]
 
 
 def test_connectify_with_trace(capsys, tmp_path):
@@ -188,9 +192,12 @@ def test_resource_limit_exit_code(capsys):
         ("solve", "butterfly:3,3,1000000000"),
         ("covers", "P990", "3", "3", "--brute"),
         ("explore", "--n-max", "9"),
+        ("connectify", "kbip:3,4", "--method", "sp3", "--s", "1000000000"),
+        ("table", "claw", "--range", "3..99999999999999999999999"),
+        ("table", "P6", "--range", "3..103"),
     ]:
-        code, _, err = run(capsys, *argv)
-        assert code == 3, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
         assert err.startswith("resource limit") and err.count("\n") == 1, argv
 
 

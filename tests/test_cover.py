@@ -6,6 +6,7 @@ import pytest
 from pocfvs import (
     Graph,
     InvalidInputError,
+    ResourceLimitError,
     butterfly,
     claw,
     cycle,
@@ -22,6 +23,7 @@ from pocfvs.cover import (
     LF_T,
     LF_TT,
     LINEAR_FOREST,
+    MAX_TABLE_SIDE,
     NOT_BUTTERFLY,
     PairSet,
     classify_pair,
@@ -226,3 +228,6 @@ def test_render_pair_table():
     assert "·" in text and "✓" in text
     with pytest.raises(InvalidInputError):
         render_pair_table(PairSet.empty(), 2, 5)
+    assert len(render_pair_table(PairSet.empty(), 3, 2 + MAX_TABLE_SIDE).splitlines()) == 101
+    with pytest.raises(ResourceLimitError):
+        render_pair_table(PairSet.empty(), 3, 3 + MAX_TABLE_SIDE)

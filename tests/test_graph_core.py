@@ -47,6 +47,9 @@ def test_graph_order_is_capped_before_allocation():
             Graph(huge)
     with pytest.raises(ResourceLimitError):
         (MAX_ORDER // 2 + 1) * path(2)
+    # refused before the copies' edge list is built
+    with pytest.raises(ResourceLimitError):
+        10**12 * path(3)
 
 
 def test_vertex_sets_are_validated():
