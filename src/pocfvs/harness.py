@@ -238,6 +238,7 @@ def tetrachotomy_classify(h: Graph) -> ClassificationResult:
     (h embeds in P_5 + s*P_1 or in s*P_3); class-iii: multiplicative
     constant (h is a linear forest); class-iv: no constant at all.
     """
+    n = max(1, h.n)
     if not is_linear_forest(h):
         # P_3, P_5 + s*P_1 and s*P_3 are linear forests, and so is every
         # induced subgraph of one
@@ -256,7 +257,6 @@ def tetrachotomy_classify(h: Graph) -> ClassificationResult:
             constant=0,
         )
     # the least s that embeds h; h has n vertices, so it needs no more than n copies
-    n = max(1, h.n)
     s_p5 = next((s for s in range(n + 1) if find(path(5) + s * path(1)) is not None), None)
     s_p3 = next((s for s in range(1, n + 1) if find(s * path(3)) is not None), None)
     constants = [f(s) for f, s in ((p5sp1_constant, s_p5), (sp3_constant, s_p3)) if s is not None]
