@@ -282,3 +282,29 @@ def canonical_form_exhaustive(g):
     best = min(leaves([list(range(n))]), key=encode)
     pos = {v: i for i, v in enumerate(best)}
     return Graph(n, [(pos[u], pos[v]) for u, v in edges])
+
+
+def tetrachotomy_by_hosts(h):
+    """``(verdict, constant)`` of one forbidden graph, by embedding it in each host.
+
+    Class iv unless h is a linear forest; class i when h embeds in P_3;
+    class ii when h embeds in P_5 + s*P_1 or in s*P_3, with the smaller of
+    the two additive constants over the least such s (h has n vertices, so
+    s <= n suffices); class iii, with constant 4(2n + 1), otherwise. Each
+    host is built and searched with the library's induced matcher.
+    """
+    from pocfvs.constructive import p5sp1_constant, sp3_constant
+    from pocfvs.generators import path
+    from pocfvs.iso import embeds_induced, is_linear_forest
+
+    n = max(1, h.n)
+    if not is_linear_forest(h):
+        return "class-iv", None
+    if embeds_induced(h, path(3)):
+        return "class-i", 0
+    s_p5 = next((s for s in range(n + 1) if embeds_induced(h, path(5) + s * path(1))), None)
+    s_p3 = next((s for s in range(1, n + 1) if embeds_induced(h, s * path(3))), None)
+    constants = [f(s) for f, s in ((p5sp1_constant, s_p5), (sp3_constant, s_p3)) if s is not None]
+    if constants:
+        return "class-ii", min(constants)
+    return "class-iii", 4 * (2 * h.n + 1)

@@ -32,7 +32,14 @@ from pocfvs.harness import (
 from pocfvs.iso import are_isomorphic, canonical_form, is_free
 from pocfvs.solvers import min_cfvs, min_fvs
 
-from _oracles import dfs_is_acyclic, edge_set, enumerate_all_graphs, perm_isomorphic, reachable
+from _oracles import (
+    dfs_is_acyclic,
+    edge_set,
+    enumerate_all_graphs,
+    perm_isomorphic,
+    reachable,
+    tetrachotomy_by_hosts,
+)
 
 
 def test_enumeration_counts_naive_crosscheck_small():
@@ -327,6 +334,24 @@ def test_tetrachotomy_is_byte_stable():
             h.update(json.dumps([r.verdict, r.reason, r.constant, r.uncovered_pair]).encode())
             h.update(b"\n")
     assert h.hexdigest() == TETRACHOTOMY_DIGEST
+
+
+def _path_unions(n: int, cap: int):
+    """Each linear forest on n vertices once, as a union of paths of non-increasing order."""
+    if n == 0:
+        yield Graph(0)
+        return
+    for first in range(min(n, cap), 0, -1):
+        for rest in _path_unions(n - first, first):
+            yield path(first) + rest
+
+
+def test_tetrachotomy_matches_the_host_search_on_linear_forests():
+    forests = [h for n in range(1, 10) for h in _path_unions(n, n)]
+    assert len(forests) == 96
+    for h in forests:
+        r = tetrachotomy_classify(h)
+        assert (r.verdict, r.constant) == tetrachotomy_by_hosts(h), h.edges()
 
 
 def test_unboundedness_witnesses_triangle():
