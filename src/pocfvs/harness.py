@@ -25,11 +25,11 @@ from fractions import Fraction
 
 from . import graph6
 from .constructive import p5sp1_constant, sp3_constant
-from .cover import ClassificationResult, family_covers_all
+from .cover import ClassificationResult, family_covers_all, structure_profile
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
-from .iso import _Pattern, _search, canonical_form, free_filter, is_linear_forest
+from .iso import _search, canonical_form, free_filter
 from .solvers import fvs_and_cfvs
 
 MAX_ENUMERATION_ORDER = 8
@@ -231,47 +231,45 @@ def max_poc(spec: EnumerationSpec, limit: int | None = None) -> ExperimentReport
 # -- single-graph classification ---------------------------------------------
 
 
+_CLASS_REASONS = {
+    "class-i": "embeds in a 3-vertex path; the two optima always coincide",
+    "class-ii": "embeds in P_5 + s*P_1 or in s*P_3; additive constant suffices",
+    "class-iii": "a linear forest; multiplicative constant suffices",
+    "class-iv": "not a linear forest; butterflies witness unbounded ratio",
+}
+
+
 def tetrachotomy_classify(h: Graph) -> ClassificationResult:
     """Which of the four boundedness regimes a single forbidden graph yields.
 
     class-i: equality always (h embeds in P_3); class-ii: additive constant
     (h embeds in P_5 + s*P_1 or in s*P_3); class-iii: multiplicative
     constant (h is a linear forest); class-iv: no constant at all.
+
+    Only linear forests pass the covering test, whose constant 4N is the
+    class-iii one. The rest is read off the path orders a_1..a_k, which fit
+    in P_L when sum(a_i) + k - 1 <= L. P_5 takes the paths of order >= 2
+    and the single vertices that still fit; each other single vertex costs
+    a P_1. A P_3 holds one P_2 or P_3, or two single vertices, and no longer path.
     """
-    n = max(1, h.n)
-    if not is_linear_forest(h):
-        # P_3, P_5 + s*P_1 and s*P_3 are linear forests, and so is every
-        # induced subgraph of one
-        return ClassificationResult(
-            verdict="class-iv",
-            bounded=False,
-            reason="not a linear forest; butterflies witness unbounded ratio",
-            uncovered_pair=family_covers_all([h]).uncovered_pair,
-        )
-    find = _Pattern(h).find
-    if find(path(3)) is not None:
-        return ClassificationResult(
-            verdict="class-i",
-            bounded=True,
-            reason="embeds in a 3-vertex path; the two optima always coincide",
-            constant=0,
-        )
-    # the least s that embeds h; h has n vertices, so it needs no more than n copies
-    s_p5 = next((s for s in range(n + 1) if find(path(5) + s * path(1)) is not None), None)
-    s_p3 = next((s for s in range(1, n + 1) if find(s * path(3)) is not None), None)
-    constants = [f(s) for f, s in ((p5sp1_constant, s_p5), (sp3_constant, s_p3)) if s is not None]
-    if constants:
-        return ClassificationResult(
-            verdict="class-ii",
-            bounded=True,
-            reason="embeds in P_5 + s*P_1 or in s*P_3; additive constant suffices",
-            constant=min(constants),
-        )
+    cover = family_covers_all([h])
+    orders = structure_profile(h).linear_forest  # ascending; all of h when cover.bounded
+    ones = orders.count(1)
+    longer = orders[ones:]
+    room = 6 - sum(longer) - len(longer)  # P_5 holds longer and f single vertices when 2f <= room
+    additive = [p5sp1_constant(max(0, ones - room // 2))] if room >= 0 else []
+    if all(a <= 3 for a in orders):
+        additive.append(sp3_constant(len(longer) + (ones + 1) // 2))
+    if not cover.bounded:
+        verdict, constant = "class-iv", None
+    elif sum(orders) + len(orders) <= 4:
+        verdict, constant = "class-i", 0
+    elif additive:
+        verdict, constant = "class-ii", min(additive)
+    else:
+        verdict, constant = "class-iii", cover.constant
     return ClassificationResult(
-        verdict="class-iii",
-        bounded=True,
-        reason="a linear forest; multiplicative constant suffices",
-        constant=4 * (2 * h.n + 1),
+        verdict, cover.bounded, _CLASS_REASONS[verdict], constant, cover.uncovered_pair
     )
 
 

@@ -69,6 +69,16 @@ def test_classify_single(capsys):
     code, out, _ = run(capsys, "classify", "cycle:510", "--witnesses", "1")
     assert code == 0
     assert "cycle:510: class-iv" in out
+    # linear forests are read off their path orders, without building any host
+    code, out, _ = run(capsys, "classify", "12P1")
+    assert code == 0
+    assert "12P1: class-ii" in out and "certified constant: 37" in out
+    code, out, _ = run(capsys, "classify", "40P1")
+    assert code == 0
+    assert "certified constant: 121" in out
+    code, out, _ = run(capsys, "classify", "P200")
+    assert code == 0
+    assert "P200: class-iii" in out and "certified constant: 1604" in out
 
 
 def test_classify_pair(capsys):
