@@ -353,6 +353,11 @@ def classify_pair(h1: Graph, h2: Graph) -> ClassificationResult:
     double short-leg spider, or into a double triangle tadpole and a single
     short-leg spider. The verdict is cross-checked against the covered-pair
     union; disagreement is a contradiction.
+
+    The tail and the long leg have n + c vertices for a member with n
+    vertices and c components: an embedding can be slid along the tail or
+    leg until at most one gap vertex precedes each component's run, so a
+    longer host embeds nothing more.
     """
 
     reason = None
@@ -360,7 +365,8 @@ def classify_pair(h1: Graph, h2: Graph) -> ClassificationResult:
         reason = "one member is a linear forest"
     else:
         for a, b in ((h1, h2), (h2, h1)):
-            na, nb = max(1, a.n), max(1, b.n)
+            na = a.n + len(a.mask_components(a.full_mask))
+            nb = b.n + len(b.mask_components(b.full_mask))
             if embeds_induced(a, tadpole(na, 3)) and embeds_induced(b, 2 * spider(nb, 1, 1)):
                 reason = "members embed in a triangle tadpole and a double short-leg spider"
                 break

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -217,6 +218,15 @@ def test_classify_pair_bullets():
     assert res.uncovered_pair == (3, 3)
     assert not covers_bruteforce(cycle(4), 3, 3)
     assert not covers_bruteforce(claw(), 3, 3)
+
+
+def test_classify_pair_matches_the_union_on_padded_members():
+    # isolated vertices lengthen the tail or leg a member needs in the catalog hosts
+    firsts = [cycle(3), 2 * cycle(3), tadpole(1, 3), tadpole(2, 3), cycle(3) + path(2)]
+    seconds = [claw(), 2 * claw(), spider(2, 1, 1), claw() + path(2)]
+    for a, b, k, k2 in product(firsts, seconds, range(5), range(5)):
+        h1, h2 = a + k * path(1), b + k2 * path(1)
+        assert classify_pair(h1, h2).bounded == family_covers_all([h1, h2]).bounded, (a, b, k, k2)
 
 
 def test_render_pair_table():
