@@ -120,14 +120,16 @@ def _cmd_classify(args) -> int:
     h1 = load_graph(args.pattern)
     if args.pattern2 is None:
         res = tetrachotomy_classify(h1)
+        # witnesses first, so a refused run prints nothing
+        witnesses = unboundedness_witnesses(h1, args.witnesses) if res.uncovered_pair else []
         print(f"{args.pattern}: {res.verdict}")
         print(f"reason: {res.reason}")
         if res.constant is not None:
             print(f"certified constant: {res.constant}")
         if res.uncovered_pair is not None:
             print(f"uncovered pair: {res.uncovered_pair}")
-            for b, f, c in unboundedness_witnesses(h1, args.witnesses):
-                print(f"  witness n={b.n}: fvs={f} cfvs={c}")
+        for b, f, c in witnesses:
+            print(f"  witness n={b.n}: fvs={f} cfvs={c}")
     else:
         h2 = load_graph(args.pattern2)
         res = classify_pair(h1, h2)
@@ -169,10 +171,11 @@ def _cmd_connectify(args) -> int:
         result, trace = connectify_p5sp1(g, 0 if args.s is None else args.s)
     else:
         result, trace = connectify_sp3(g, 2 if args.s is None else args.s)
+    if args.trace:
+        _write(args.trace, trace.to_json())
     print(f"connected FVS: {sorted(result)}")
     print(f"size: {len(result)}  certified bound: {trace.claimed_bound}")
     if args.trace:
-        _write(args.trace, trace.to_json())
         print(f"trace written to {args.trace}")
     return EXIT_OK
 
@@ -258,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="single- or two-pattern classification")
     p.add_argument("pattern")
     p.add_argument("pattern2", nargs="?", default=None)
-    p.add_argument("--witnesses", type=int, default=3)
+    p.add_argument(
+        "--witnesses", type=int, default=3, help="butterfly witnesses to print for a class-iv pattern"
+    )
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("classify-family", help="boundedness of a finite family")

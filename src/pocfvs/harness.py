@@ -279,6 +279,8 @@ def unboundedness_witnesses(h: Graph, count: int, limit: int | None = None):
     class-iv: h-free butterflies on an uncovered pair, with exact optima;
     class-iii: the hourglass-chain family; class-i/ii: no witnesses exist.
     """
+    if count < 0:
+        raise InvalidInputError(f"witness count must be >= 0, got {count}")
     verdict = tetrachotomy_classify(h)
     out = []
     if verdict.verdict in ("class-i", "class-ii"):

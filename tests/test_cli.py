@@ -189,9 +189,10 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("solve", "9" * 5000 + "*claw"),
         ("connectify", "kbip:3,4", "--method", "sp3", "--trace", str(tmp_path / "no" / "t.json")),
         ("explore", "--n-max", "3", "--out", str(tmp_path / "no" / "r.json")),
+        ("classify", "C3", "--witnesses", "-5"),
     ]:
-        code, _, err = run(capsys, *argv)
-        assert code == 2, argv
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
         assert err.startswith("input error") and err.count("\n") == 1, argv
 
 
@@ -205,6 +206,8 @@ def test_resource_limit_exit_code(capsys):
         ("connectify", "kbip:3,4", "--method", "sp3", "--s", "1000000000"),
         ("table", "claw", "--range", "3..99999999999999999999999"),
         ("table", "P6", "--range", "3..103"),
+        # the 14th butterfly witness of C3 has 21 vertices, over the solver limit
+        ("classify", "C3", "--witnesses", "20"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv

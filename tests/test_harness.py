@@ -374,6 +374,10 @@ def test_unboundedness_witnesses_p6():
 def test_unboundedness_witnesses_none_for_low_classes():
     assert unboundedness_witnesses(path(3), 3) == []
     assert unboundedness_witnesses(2 * path(3), 3) == []
+    assert unboundedness_witnesses(cycle(3), 0) == []
+    for h in (path(3), path(6), cycle(3)):
+        with pytest.raises(InvalidInputError):
+            unboundedness_witnesses(h, -1)
 
 
 def test_gprime_experiment():
