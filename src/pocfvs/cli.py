@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("pattern2", nargs="?", default=None)
     p.add_argument(
-        "--witnesses", type=int, default=3, help="butterfly witnesses to print for a class-iv pattern"
+        "--witnesses", type=int, default=3, help="butterfly witnesses printed for class iv only"
     )
     p.set_defaults(func=_cmd_classify)
 
