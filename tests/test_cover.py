@@ -78,13 +78,13 @@ def test_structure_profiles():
     assert structure_profile(3 * cycle(3)).kind == NOT_BUTTERFLY
 
 
-def _graphs_upto_7():
-    """The empty graph and every graph, connected or not, on 1..7 vertices."""
-    return [Graph(0)] + [g for n in range(1, 8) for g in enumerate_all_graphs(n)]
+def _graphs_upto(n_max):
+    """The empty graph and every graph, connected or not, on 1..n_max vertices."""
+    return [Graph(0)] + [g for n in range(1, n_max + 1) for g in enumerate_all_graphs(n)]
 
 
 def test_profile_reassembly_matches_input():
-    named = oracle_catalog() + [(f"g{k}", g) for k, g in enumerate(_graphs_upto_7())]
+    named = oracle_catalog() + [(f"g{k}", g) for k, g in enumerate(_graphs_upto(7))]
     for name, h in named:
         prof = structure_profile(h)
         if prof.kind == NOT_BUTTERFLY:
@@ -93,14 +93,14 @@ def test_profile_reassembly_matches_input():
 
 
 # sha256 of json.dumps([kind, tadpoles, spiders, linear_forest]) of the
-# structure profile of every graph in _graphs_upto_7, as the reference
+# structure profile of every graph in _graphs_upto(7), as the reference
 # implementation computed them
 STRUCTURE_PROFILES_DIGEST = "0732e403887fd0c344eae79093e607e1ab3b65c4d244c653745cc2f379e5067c"
 
 
 def test_structure_profiles_are_byte_stable():
     h = hashlib.sha256()
-    for g in _graphs_upto_7():
+    for g in _graphs_upto(7):
         p = structure_profile(g)
         h.update(json.dumps([p.kind, p.tadpoles, p.spiders, p.linear_forest]).encode())
         h.update(b"\n")
@@ -227,6 +227,27 @@ def test_classify_pair_matches_the_union_on_padded_members():
     for a, b, k, k2 in product(firsts, seconds, range(5), range(5)):
         h1, h2 = a + k * path(1), b + k2 * path(1)
         assert classify_pair(h1, h2).bounded == family_covers_all([h1, h2]).bounded, (a, b, k, k2)
+
+
+# sha256 of json.dumps([classify_pair fields, must_contain_check fields]) of
+# every ordered pair from _graphs_upto(5) (53 graphs, 2,809 pairs), as the
+# catalog-host implementation computed them
+PAIR_DECISIONS_DIGEST = "0cd8268fb44262e54bbffaaa9b6d094dbd1f8ff91320aef041a25f4b87028b25"
+
+
+def test_pair_decisions_are_byte_stable():
+    graphs = _graphs_upto(5)
+    h = hashlib.sha256()
+    for a, b in product(graphs, repeat=2):
+        res = classify_pair(a, b)
+        rep = must_contain_check([a, b])
+        fields = [
+            [res.verdict, res.reason, res.constant, res.uncovered_pair],
+            [rep.applicable, rep.bounded, rep.double_tadpole_member, rep.double_spider_member],
+        ]
+        h.update(json.dumps(fields).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == PAIR_DECISIONS_DIGEST
 
 
 def test_render_pair_table():
