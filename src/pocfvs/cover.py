@@ -12,20 +12,22 @@ set of a graph:
   two special components (tadpoles D and 3-leg spiders T) and maps that
   shape to a closed-form region of the (i, j) quarter-plane.
 
-The symbolic route reads each component's shape off its edge count and
-degrees and runs no matcher, so the two routes share no matching code. They
+The symbolic route, the pair catalog (``classify_pair``) and the
+necessary-membership check (``must_contain_check``) read each component's
+shape off its edge count and degrees, so ``covers_bruteforce`` is the
+module's only matcher user and the two routes share no matching code. They
 must agree exactly; the test suite enforces this on a catalog spanning
 every decomposition shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, path, spider, tadpole
 from .graph import Graph, disjoint_union, iter_bits
-from .iso import embeds_induced, is_linear_forest
+from .iso import embeds_induced
 
 # profile kinds
 NOT_BUTTERFLY = "not-butterfly-subgraph"
@@ -317,26 +319,31 @@ class MustContainReport:
     double_spider_member: int | None = None
 
 
+def _fits_triangle_tadpoles(p: StructureProfile, k: int) -> bool:
+    """Whether the profiled graph embeds in k disjoint long-tailed triangle tadpoles."""
+    return p.kind in (LINEAR_FOREST, LF_D, LF_DD)[: k + 1] and all(r == 3 for _, r in p.tadpoles)
+
+
+def _fits_spiders(p: StructureProfile, k: int, short_legs: bool) -> bool:
+    """Whether it embeds in k disjoint long-legged spiders, two legs of 1 if ``short_legs``."""
+    legs_ok = not short_legs or all(legs[:2] == (1, 1) for legs in p.spiders)
+    return p.kind in (LINEAR_FOREST, LF_T, LF_TT)[: k + 1] and legs_ok
+
+
 def must_contain_check(family) -> MustContainReport:
     """If the family is bounded, it must contain both canonical shapes.
 
     Some member must embed in two disjoint triangle tadpoles, and some
-    member must embed in two disjoint 3-leg spiders; existential tail and
-    leg parameters are discharged by monotone hosts sized by the member.
+    member must embed in two disjoint 3-leg spiders, with tails and legs as
+    long as needed; both are read off the members' structure profiles.
     Violation is a contradiction, not a user error.
     """
     family = list(family)
-    verdict = family_covers_all(family)
-    if not verdict.bounded:
+    if not family_covers_all(family).bounded:
         return MustContainReport(applicable=False, bounded=False)
-    dd_member = None
-    tt_member = None
-    for idx, h in enumerate(family):
-        n = max(1, h.n)
-        if dd_member is None and embeds_induced(h, 2 * tadpole(n, 3)):
-            dd_member = idx
-        if tt_member is None and embeds_induced(h, 2 * spider(n, n, n)):
-            tt_member = idx
+    profiles = [structure_profile(h) for h in family]
+    dd_member = next((i for i, p in enumerate(profiles) if _fits_triangle_tadpoles(p, 2)), None)
+    tt_member = next((i for i, p in enumerate(profiles) if _fits_spiders(p, 2, False)), None)
     if dd_member is None or tt_member is None:
         raise ContradictionError(
             "a ratio-bounded family must contain both a double-tadpole part "
@@ -354,23 +361,21 @@ def classify_pair(h1: Graph, h2: Graph) -> ClassificationResult:
     short-leg spider. The verdict is cross-checked against the covered-pair
     union; disagreement is a contradiction.
 
-    The tail and the long leg have n + c vertices for a member with n
-    vertices and c components: an embedding can be slid along the tail or
-    leg until at most one gap vertex precedes each component's run, so a
-    longer host embeds nothing more.
+    Tails and long legs are as long as needed, so the bullets are read off
+    structure profiles: a member fits k triangle tadpoles when it has no
+    spider and at most k tadpoles, all with cycle 3, and k short-leg spiders
+    when it has no tadpole and at most k spiders, all with legs (1, 1, *).
     """
-
+    p1, p2 = structure_profile(h1), structure_profile(h2)
     reason = None
-    if is_linear_forest(h1) or is_linear_forest(h2):
+    if LINEAR_FOREST in (p1.kind, p2.kind):
         reason = "one member is a linear forest"
     else:
-        for a, b in ((h1, h2), (h2, h1)):
-            na = a.n + len(a.mask_components(a.full_mask))
-            nb = b.n + len(b.mask_components(b.full_mask))
-            if embeds_induced(a, tadpole(na, 3)) and embeds_induced(b, 2 * spider(nb, 1, 1)):
+        for a, b in ((p1, p2), (p2, p1)):
+            if _fits_triangle_tadpoles(a, 1) and _fits_spiders(b, 2, True):
                 reason = "members embed in a triangle tadpole and a double short-leg spider"
                 break
-            if embeds_induced(a, 2 * tadpole(na, 3)) and embeds_induced(b, spider(nb, 1, 1)):
+            if _fits_triangle_tadpoles(a, 2) and _fits_spiders(b, 1, True):
                 reason = "members embed in a double triangle tadpole and a short-leg spider"
                 break
     union_verdict = family_covers_all([h1, h2])
@@ -379,14 +384,7 @@ def classify_pair(h1: Graph, h2: Graph) -> ClassificationResult:
             "pair catalog disagrees with the covered-pair union: "
             f"catalog={'bounded' if reason else 'unbounded'} union={union_verdict.verdict}"
         )
-    if reason is not None:
-        return ClassificationResult(
-            verdict="bounded",
-            bounded=True,
-            reason=reason,
-            constant=union_verdict.constant,
-        )
-    return union_verdict
+    return replace(union_verdict, reason=reason) if reason else union_verdict
 
 
 def render_pair_table(ps: PairSet, lo: int, hi: int) -> str:

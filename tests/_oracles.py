@@ -308,3 +308,46 @@ def tetrachotomy_by_hosts(h):
     if constants:
         return "class-ii", min(constants)
     return "class-iii", 4 * (2 * h.n + 1)
+
+
+def pair_bullet_by_hosts(h1, h2):
+    """The catalog reason that holds for a pair, or None, by embedding in hosts.
+
+    One member is a linear forest, or the members embed (in either role
+    order) in a triangle tadpole and a double short-leg spider, or in a
+    double triangle tadpole and a short-leg spider. The tail and the long
+    leg have n + c vertices for a member with n vertices and c components:
+    an embedding can be slid along the tail or leg until at most one gap
+    vertex precedes each component's run, so a longer host embeds nothing
+    more. Each host is searched with the library's induced matcher.
+    """
+    from pocfvs.generators import spider, tadpole
+    from pocfvs.iso import embeds_induced, is_linear_forest
+
+    if is_linear_forest(h1) or is_linear_forest(h2):
+        return "one member is a linear forest"
+    for a, b in ((h1, h2), (h2, h1)):
+        na = a.n + len(a.mask_components(a.full_mask))
+        nb = b.n + len(b.mask_components(b.full_mask))
+        if embeds_induced(a, tadpole(na, 3)) and embeds_induced(b, 2 * spider(nb, 1, 1)):
+            return "members embed in a triangle tadpole and a double short-leg spider"
+        if embeds_induced(a, 2 * tadpole(na, 3)) and embeds_induced(b, spider(nb, 1, 1)):
+            return "members embed in a double triangle tadpole and a short-leg spider"
+    return None
+
+
+def must_contain_by_hosts(family):
+    """``(double_tadpole_member, double_spider_member)``, each the first index or None.
+
+    A member of n vertices qualifies when it embeds in 2 * tadpole(n, 3),
+    or in 2 * spider(n, n, n); these monotone hosts are as long as any
+    embedding of it needs.
+    """
+    from pocfvs.generators import spider, tadpole
+    from pocfvs.iso import embeds_induced
+
+    hosts = [lambda n: 2 * tadpole(n, 3), lambda n: 2 * spider(n, n, n)]
+    return tuple(
+        next((i for i, h in enumerate(family) if embeds_induced(h, host(max(1, h.n)))), None)
+        for host in hosts
+    )

@@ -85,6 +85,14 @@ def test_classify_pair(capsys):
     code, out, _ = run(capsys, "classify", "C4", "claw")
     assert code == 0
     assert "unbounded" in out
+    # both members are far under the order cap, and no catalog host is built
+    reason = "reason: members embed in a triangle tadpole and a double short-leg spider"
+    code, out, _ = run(capsys, "classify", "tadpole:3,3", "spider:400,1,1")
+    assert code == 0
+    assert out.splitlines() == ["(tadpole:3,3, spider:400,1,1): bounded", reason]
+    code, out, _ = run(capsys, "classify", "C3+500P1", "2claw")
+    assert code == 0
+    assert out.splitlines() == ["(C3+500P1, 2claw): bounded", reason]
 
 
 def test_classify_family(capsys):

@@ -38,7 +38,7 @@ from pocfvs.cover import (
 from pocfvs.iso import are_isomorphic, embeds_induced
 from pocfvs.verification import oracle_catalog
 
-from _oracles import enumerate_all_graphs
+from _oracles import enumerate_all_graphs, must_contain_by_hosts, pair_bullet_by_hosts
 
 
 def test_cover_context():
@@ -204,6 +204,9 @@ def test_must_contain_check():
     assert rep.applicable
     rep = must_contain_check([cycle(3)])
     assert not rep.applicable and not rep.bounded
+    # long legs are read off the profile, with no host of twice the member's order
+    rep = must_contain_check([cycle(3), 2 * spider(100, 1, 1)])
+    assert (rep.double_tadpole_member, rep.double_spider_member) == (0, 1)
 
 
 def test_classify_pair_bullets():
@@ -221,12 +224,24 @@ def test_classify_pair_bullets():
 
 
 def test_classify_pair_matches_the_union_on_padded_members():
-    # isolated vertices lengthen the tail or leg a member needs in the catalog hosts
+    # isolated vertices lengthen the tail or leg a member needs in the catalog
+    # hosts; the butterfly-shaped graphs with n <= 6 reach every profile kind
     firsts = [cycle(3), 2 * cycle(3), tadpole(1, 3), tadpole(2, 3), cycle(3) + path(2)]
     seconds = [claw(), 2 * claw(), spider(2, 1, 1), claw() + path(2)]
-    for a, b, k, k2 in product(firsts, seconds, range(5), range(5)):
-        h1, h2 = a + k * path(1), b + k2 * path(1)
-        assert classify_pair(h1, h2).bounded == family_covers_all([h1, h2]).bounded, (a, b, k, k2)
+    padded = [
+        (a + k * path(1), b + k2 * path(1))
+        for a, b, k, k2 in product(firsts, seconds, range(5), range(5))
+    ]
+    shaped = [g for g in _graphs_upto(6)[1:] if structure_profile(g).kind != NOT_BUTTERFLY]
+    assert len(shaped) == 63
+    for h1, h2 in padded + list(product(shaped, repeat=2)):
+        res, union = classify_pair(h1, h2), family_covers_all([h1, h2])
+        assert res.bounded == union.bounded, (h1, h2)
+        assert res.reason == (pair_bullet_by_hosts(h1, h2) or union.reason), (h1, h2)
+        rep = must_contain_check([h1, h2])
+        if rep.applicable:
+            members = (rep.double_tadpole_member, rep.double_spider_member)
+            assert members == must_contain_by_hosts([h1, h2]), (h1, h2)
 
 
 # sha256 of json.dumps([classify_pair fields, must_contain_check fields]) of
