@@ -32,7 +32,6 @@ from .iso import (
     embeds_induced,
     find_induced_embedding,
     is_free,
-    is_linear_forest,
 )
 from .solvers import (
     SolveResult,
@@ -42,7 +41,6 @@ from .solvers import (
     min_cfvs,
     min_ds,
     min_fvs,
-    normalize_min_fvs,
     poc_difference,
     poc_ratio,
 )

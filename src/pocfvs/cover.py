@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
-from .generators import butterfly, path, spider, tadpole
-from .graph import Graph, disjoint_union, iter_bits
+from .generators import butterfly
+from .graph import Graph, iter_bits
 from .iso import embeds_induced
 
 # profile kinds
@@ -94,17 +94,6 @@ class StructureProfile:
         parts = [f"D({t},{r})" for t, r in self.tadpoles]
         parts += [f"T({a},{b},{c})" for a, b, c in self.spiders]
         return "LF+" + "+".join(parts)
-
-    def reassemble(self) -> Graph:
-        """Disjoint union of the recorded parts, for cross-checking."""
-        out = Graph(0)
-        for k in self.linear_forest:
-            out = disjoint_union(out, path(k))
-        for t, r in self.tadpoles:
-            out = disjoint_union(out, tadpole(t, r))
-        for a, b, c in self.spiders:
-            out = disjoint_union(out, spider(a, b, c))
-        return out
 
 
 def structure_profile(h: Graph) -> StructureProfile:

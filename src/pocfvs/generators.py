@@ -20,21 +20,29 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, pairwise
 
 from .errors import InvalidInputError, ResourceLimitError
 from .graph import MAX_ORDER, Graph, disjoint_union
 
 
+# Every generator hands Graph a lazy edge iterable, so Graph's order check
+# refuses an oversized graph before any edge is made.
+def _ring(start: int, r: int):
+    """The edges of a cycle on ``start..start+r-1`` in ring order."""
+    return ((start + v, start + (v + 1) % r) for v in range(r))
+
+
 def path(k: int) -> Graph:
     if k < 1:
         raise InvalidInputError(f"path needs at least 1 vertex, got {k}")
-    return Graph(k, ((v, v + 1) for v in range(k - 1)))
+    return Graph(k, pairwise(range(k)))
 
 
 def cycle(r: int) -> Graph:
     if r < 3:
         raise InvalidInputError(f"cycle needs at least 3 vertices, got {r}")
-    return Graph(r, [(v, (v + 1) % r) for v in range(r)])
+    return Graph(r, _ring(0, r))
 
 
 def butterfly(i: int, j: int, k: int) -> Graph:
@@ -43,26 +51,19 @@ def butterfly(i: int, j: int, k: int) -> Graph:
         raise InvalidInputError(f"butterfly cycles need >= 3 vertices, got {i}, {j}")
     if k < 1:
         raise InvalidInputError(f"butterfly bridge length must be >= 1, got {k}")
-    n = i + j + k - 1
-    x, y = 0, i + k - 1
-    edges = [(v, (v + 1) % i) for v in range(i)]
-    bridge = [x] + list(range(i, i + k - 1)) + [y]
-    edges += list(zip(bridge, bridge[1:]))
-    edges += [(y + v, y + (v + 1) % j) for v in range(j)]
-    return Graph(n, edges)
+    y = i + k - 1  # the bridge runs from x = 0 through i..y-1 to y
+    bridge = pairwise(chain((0,), range(i, y), (y,)))
+    return Graph(i + j + k - 1, chain(_ring(0, i), bridge, _ring(y, j)))
 
 
 def spider(k: int, p: int, q: int) -> Graph:
     """Three paths of k, p and q vertices joined at a fresh center vertex."""
     if min(k, p, q) < 1:
         raise InvalidInputError(f"spider legs need >= 1 vertex each, got {(k, p, q)}")
-    edges = []
-    start = 1
-    for leg in (k, p, q):
-        edges.append((0, start))
-        edges += [(v, v + 1) for v in range(start, start + leg - 1)]
-        start += leg
-    return Graph(k + p + q + 1, edges)
+    legs = (k, p, q)
+    starts = accumulate(legs, initial=1)
+    edges = (pairwise(chain((0,), range(s, s + leg))) for s, leg in zip(starts, legs))
+    return Graph(k + p + q + 1, chain.from_iterable(edges))
 
 
 def tadpole(k: int, r: int) -> Graph:
@@ -71,11 +72,7 @@ def tadpole(k: int, r: int) -> Graph:
         raise InvalidInputError(f"tadpole tail length must be >= 0, got {k}")
     if r < 3:
         raise InvalidInputError(f"tadpole cycle needs >= 3 vertices, got {r}")
-    edges = [(v, (v + 1) % r) for v in range(r)]
-    if k:
-        edges.append((0, r))
-        edges += [(v, v + 1) for v in range(r, r + k - 1)]
-    return Graph(r + k, edges)
+    return Graph(r + k, chain(_ring(0, r), pairwise(chain((0,), range(r, r + k)))))
 
 
 def hourglass() -> Graph:
@@ -94,13 +91,13 @@ def hourglass_chain(k: int) -> Graph:
     """
     if k < 1:
         raise InvalidInputError(f"hourglass chain needs >= 1 block, got {k}")
-    edges = []
-    for b in range(k):
-        y = 1 + 5 * b
+
+    def block(y: int):
         a1, a2, b1, b2 = y + 1, y + 2, y + 3, y + 4
-        edges += [(y, a1), (y, a2), (a1, a2), (y, b1), (y, b2), (b1, b2)]
-        edges += [(0, a1), (0, a2), (0, b1), (0, b2)]
-    return Graph(5 * k + 1, edges)
+        yield from [(y, a1), (y, a2), (a1, a2), (y, b1), (y, b2), (b1, b2)]
+        yield from [(0, a1), (0, a2), (0, b1), (0, b2)]
+
+    return Graph(5 * k + 1, chain.from_iterable(map(block, range(1, 5 * k, 5))))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
@@ -138,13 +135,11 @@ def gprime(*t: int) -> Graph:
     if any(x < 1 for x in t):
         raise InvalidInputError(f"gprime subdivision counts must be >= 1, got {t}")
     pairs = [(0, 1), (0, 1), (0, 2), (0, 2), (1, 2), (1, 2)]
-    edges = []
-    nxt = 3
-    for (a, b), cnt in zip(pairs, t):
-        chain = [a] + list(range(nxt, nxt + cnt)) + [b]
-        edges += list(zip(chain, chain[1:]))
-        nxt += cnt
-    return Graph(nxt, edges)
+    starts = accumulate(t, initial=3)
+    chains = (
+        pairwise(chain((a,), range(s, s + cnt), (b,))) for (a, b), s, cnt in zip(pairs, starts, t)
+    )
+    return Graph(3 + sum(t), chain.from_iterable(chains))
 
 
 # -- family specs ----------------------------------------------------------

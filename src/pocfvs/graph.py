@@ -10,7 +10,6 @@ which validates it once.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -94,12 +93,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self._masks)
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
-    def vertices_with_degree(self, d: int) -> tuple[int, ...]:
-        return tuple(v for v, m in enumerate(self._masks) if m.bit_count() == d)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._masks[u] >> v & 1)
 
@@ -145,20 +138,16 @@ class Graph:
             mask |= 1 << v
         return mask
 
-    def induced_subgraph(self, s: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Return the subgraph induced by ``s`` plus the kept-vertex order.
-
-        New vertex ``i`` corresponds to ``kept[i]`` in the original graph;
-        ``kept`` is sorted ascending, which fixes the index mapping.
-        """
-        return self.mask_subgraph(self.vertex_mask(s))
-
     def without(self, s: Iterable[int]) -> "Graph":
         """Induced subgraph on the complement of ``s`` (index mapping dropped)."""
         return self.mask_subgraph(self.full_mask & ~self.vertex_mask(s))[0]
 
     def mask_subgraph(self, keep: int) -> tuple["Graph", tuple[int, ...]]:
-        """:meth:`induced_subgraph` of the vertex mask ``keep``, taken as valid."""
+        """The subgraph induced by the vertex mask ``keep``, taken as valid.
+
+        Returns the subgraph and the kept vertices in ascending order: new
+        vertex ``i`` is ``kept[i]`` of this graph.
+        """
         kept = tuple(iter_bits(keep))
         pos = {v: i for i, v in enumerate(kept)}
         edges = [(pos[u], pos[v]) for u in kept for v in iter_bits(self._masks[u] & keep) if u < v]
@@ -208,18 +197,12 @@ class Graph:
         # a graph is a forest iff edges = vertices - components
         return self.mask_edge_count(mask) == mask.bit_count() - len(self.mask_components(mask))
 
-    def connected_components(self) -> list[frozenset[int]]:
-        return [frozenset(iter_bits(m)) for m in self.mask_components(self.full_mask)]
-
     def is_connected(self) -> bool:
         """True for exactly one component; the empty graph counts as disconnected."""
         return self.n >= 1 and self.mask_is_connected(self.full_mask)
 
     def is_acyclic(self) -> bool:
         return self.mask_is_acyclic(self.full_mask)
-
-    def is_cycle_graph(self) -> bool:
-        return self.n >= 3 and self.is_connected() and all(d == 2 for d in self.degrees())
 
     def is_complete(self) -> bool:
         return self._m == self.n * (self.n - 1) // 2
@@ -234,15 +217,6 @@ class Graph:
             layers.append(frontier)
             seen |= frontier
         return layers
-
-    def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
-        """All-pairs hop distances, ``math.inf`` for unreachable pairs."""
-        rows: list[list[float]] = [[math.inf] * self.n for _ in range(self.n)]
-        for source, row in enumerate(rows):
-            for d, layer in enumerate(self._layers(source)):
-                for w in iter_bits(layer):
-                    row[w] = d
-        return tuple(map(tuple, rows))
 
     def diameter(self) -> int:
         if not self.is_connected():

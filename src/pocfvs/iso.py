@@ -131,11 +131,6 @@ def free_filter(family):
     return lambda g: all(p.find(g) is None for p in patterns)
 
 
-def is_linear_forest(g: Graph) -> bool:
-    """True iff every component is a path: acyclic with maximum degree <= 2."""
-    return g.max_degree() <= 2 and g.is_acyclic()
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False

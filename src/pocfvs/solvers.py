@@ -5,10 +5,10 @@ exhaustive search whose optimality follows from its search order alone:
 
 * ``min_fvs`` deepens on the solution size and branches on the vertices of
   a shortest cycle (every feedback vertex set must hit every cycle).
-* ``min_cfvs``, ``min_ds``, ``min_cds`` and ``normalize_min_fvs`` all run
-  the one subset search, :func:`first_subset`: candidate vertex sets in
-  increasing cardinality, lexicographically within a size, and the first
-  feasible one wins. The constructive module's exhaustive minima use it too.
+* ``min_cfvs``, ``min_ds`` and ``min_cds`` all run the one subset search,
+  :func:`first_subset`: candidate vertex sets in increasing cardinality,
+  lexicographically within a size, and the first feasible one wins. The
+  constructive module's exhaustive minima use it too.
 * The public ``min_cfvs`` walks from the empty set, so its ``explored``
   counts every set it rejects. Callers that already hold fvs(G)
   (``poc_ratio``, ``poc_difference`` and the harness drivers) start the
@@ -239,41 +239,6 @@ def is_cfvs(g: Graph, s) -> bool:
     """FVS check plus connectivity; the empty set counts as connected."""
     m = g.vertex_mask(s)
     return g.mask_is_acyclic(g.full_mask & ~m) and (not m or g.mask_is_connected(m))
-
-
-def lies_on_cycle(g: Graph, v: int) -> bool:
-    """True iff some cycle of ``g`` passes through ``v``."""
-    rest = g.full_mask & ~(1 << v)
-    for comp in g.mask_components(rest):
-        if (comp & g.mask(v)).bit_count() >= 2:
-            return True
-    return False
-
-
-def normalize_min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
-    """A minimum FVS whose vertices all have degree >= 3 and lie on a cycle.
-
-    Such a set is claimed to exist for every connected non-cycle graph; the
-    search is exhaustive over all minimum feedback vertex sets, and failure
-    raises ``ContradictionError`` because it would falsify that claim.
-    """
-    _guard(g, limit)
-    if not g.is_connected():
-        raise InvalidInputError("normalization needs a connected graph")
-    if g.is_cycle_graph():
-        raise InvalidInputError("normalization is undefined for cycles")
-    k = min_fvs(g, limit).optimum
-    full = g.full_mask
-    good = sum(1 << v for v in range(g.n) if g.degree(v) >= 3 and lies_on_cycle(g, v))
-    m, explored = first_subset(
-        full, lambda c: not c & ~good and g.mask_is_acyclic(full & ~c), start=k, stop=k
-    )
-    if m is not None:
-        return SolveResult(k, frozenset(iter_bits(m)), explored)
-    raise ContradictionError(
-        "no minimum feedback vertex set with all vertices of degree >= 3 on cycles; "
-        f"graph n={g.n} edges={g.edges()}"
-    )
 
 
 def fvs_and_cfvs(g: Graph, limit: int | None = None) -> tuple[int, int]:

@@ -2,9 +2,12 @@
 
 Everything here is deliberately written against raw edge lists with its
 own traversal code, so a bug in the library's search strategies cannot
-hide inside the oracle that checks them. The one exception is
-``enumerate_all_graphs``, a test corpus assembled from the library's own
-connected enumeration.
+hide inside the oracle that checks them. The exceptions say so in their
+docstrings: ``enumerate_all_graphs`` is a test corpus assembled from the
+library's own connected enumeration, ``reassemble`` and the ``*_by_hosts``
+searches build the library's generators and run its matcher, and
+``normalize_min_fvs`` states a claim of the paper with the library's
+solvers.
 """
 
 from __future__ import annotations
@@ -145,12 +148,36 @@ def floyd_warshall(g):
     return dist
 
 
-def _degree_multiset(n, edges):
+def _degrees(n, edges) -> list[int]:
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    return sorted(deg)
+    return deg
+
+
+def _degree_multiset(n, edges):
+    return sorted(_degrees(n, edges))
+
+
+def vertices_with_degree(g, d: int) -> tuple[int, ...]:
+    """The vertices of degree ``d`` in ascending order, counted off the edge list."""
+    return tuple(v for v, k in enumerate(_degrees(g.n, g.edges())) if k == d)
+
+
+def is_linear_forest(g) -> bool:
+    """Every component is a path: acyclic, with maximum degree at most 2."""
+    return max(_degrees(g.n, g.edges()), default=0) <= 2 and dfs_is_acyclic(g.n, edge_set(g))
+
+
+def is_cycle_graph(g) -> bool:
+    """A connected graph on at least 3 vertices with every degree 2."""
+    edges = edge_set(g)
+    return (
+        g.n >= 3
+        and all(k == 2 for k in _degrees(g.n, edges))
+        and reachable(g.n, edges, 0) == set(range(g.n))
+    )
 
 
 def perm_isomorphic(g, h) -> bool:
@@ -295,7 +322,7 @@ def tetrachotomy_by_hosts(h):
     """
     from pocfvs.constructive import p5sp1_constant, sp3_constant
     from pocfvs.generators import path
-    from pocfvs.iso import embeds_induced, is_linear_forest
+    from pocfvs.iso import embeds_induced
 
     n = max(1, h.n)
     if not is_linear_forest(h):
@@ -322,7 +349,7 @@ def pair_bullet_by_hosts(h1, h2):
     more. Each host is searched with the library's induced matcher.
     """
     from pocfvs.generators import spider, tadpole
-    from pocfvs.iso import embeds_induced, is_linear_forest
+    from pocfvs.iso import embeds_induced
 
     if is_linear_forest(h1) or is_linear_forest(h2):
         return "one member is a linear forest"
@@ -350,4 +377,60 @@ def must_contain_by_hosts(family):
     return tuple(
         next((i for i, h in enumerate(family) if embeds_induced(h, host(max(1, h.n)))), None)
         for host in hosts
+    )
+
+
+def reassemble(profile):
+    """Disjoint union of a structure profile's recorded parts, built by the
+    library's generators: paths, then tadpoles, then spiders."""
+    from pocfvs import Graph
+    from pocfvs.generators import path, spider, tadpole
+
+    out = Graph(0)
+    for k in profile.linear_forest:
+        out = out + path(k)
+    for t, r in profile.tadpoles:
+        out = out + tadpole(t, r)
+    for a, b, c in profile.spiders:
+        out = out + spider(a, b, c)
+    return out
+
+
+def lies_on_cycle(g, v: int) -> bool:
+    """True iff some cycle of ``g`` passes through ``v``."""
+    rest = g.full_mask & ~(1 << v)
+    for comp in g.mask_components(rest):
+        if (comp & g.mask(v)).bit_count() >= 2:
+            return True
+    return False
+
+
+def normalize_min_fvs(g, limit: int | None = None):
+    """A minimum FVS whose vertices all have degree >= 3 and lie on a cycle.
+
+    The paper claims such a set exists for every connected non-cycle graph.
+    The search runs the library's ``first_subset`` over every minimum
+    feedback vertex set, and failure raises ``ContradictionError`` because
+    it would falsify that claim.
+    """
+    from pocfvs import ContradictionError, InvalidInputError
+    from pocfvs.graph import iter_bits
+    from pocfvs.solvers import SolveResult, _guard, first_subset, min_fvs
+
+    _guard(g, limit)
+    if not g.is_connected():
+        raise InvalidInputError("normalization needs a connected graph")
+    if is_cycle_graph(g):
+        raise InvalidInputError("normalization is undefined for cycles")
+    k = min_fvs(g, limit).optimum
+    full = g.full_mask
+    good = sum(1 << v for v in range(g.n) if g.degree(v) >= 3 and lies_on_cycle(g, v))
+    m, explored = first_subset(
+        full, lambda c: not c & ~good and g.mask_is_acyclic(full & ~c), start=k, stop=k
+    )
+    if m is not None:
+        return SolveResult(k, frozenset(iter_bits(m)), explored)
+    raise ContradictionError(
+        "no minimum feedback vertex set with all vertices of degree >= 3 on cycles; "
+        f"graph n={g.n} edges={g.edges()}"
     )

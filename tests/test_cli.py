@@ -210,6 +210,8 @@ def test_resource_limit_exit_code(capsys):
         ("solve", "200000P3"),
         ("solve", "butterfly:3,3,1000000000"),
         ("covers", "P990", "3", "3", "--brute"),
+        # the butterfly's order is refused before any of its edges are built
+        ("covers", "C3", "3", "100000000000"),
         ("explore", "--n-max", "9"),
         ("connectify", "kbip:3,4", "--method", "sp3", "--s", "1000000000"),
         ("table", "claw", "--range", "3..99999999999999999999999"),

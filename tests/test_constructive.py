@@ -29,7 +29,7 @@ from pocfvs.solvers import is_cfvs, is_fvs, min_fvs
 
 def test_paths_on_butterfly():
     b = butterfly(3, 3, 4)
-    hubs = set(b.vertices_with_degree(3))
+    hubs = {v for v in b.vertices() if b.degree(v) == 3}
     result, trace = connectify_by_paths(b, hubs)
     assert is_cfvs(b, result)
     assert len(result) == 5
@@ -163,7 +163,7 @@ def _move_step_corpus():
                 (
                     c
                     for c in comps
-                    if find_induced_embedding(p3, g.induced_subgraph(c)[0]) is not None
+                    if find_induced_embedding(p3, g.mask_subgraph(g.vertex_mask(c))[0]) is not None
                 ),
                 None,
             )

@@ -38,7 +38,13 @@ from pocfvs.cover import (
 from pocfvs.iso import are_isomorphic, embeds_induced
 from pocfvs.verification import oracle_catalog
 
-from _oracles import enumerate_all_graphs, must_contain_by_hosts, pair_bullet_by_hosts
+from _oracles import (
+    enumerate_all_graphs,
+    is_linear_forest,
+    must_contain_by_hosts,
+    pair_bullet_by_hosts,
+    reassemble,
+)
 
 
 def test_cover_context():
@@ -89,7 +95,7 @@ def test_profile_reassembly_matches_input():
         prof = structure_profile(h)
         if prof.kind == NOT_BUTTERFLY:
             continue
-        assert are_isomorphic(prof.reassemble(), h), name
+        assert are_isomorphic(reassemble(prof), h), name
 
 
 # sha256 of json.dumps([kind, tadpoles, spiders, linear_forest]) of the
@@ -191,10 +197,15 @@ def test_family_covers_all():
 
 
 def test_single_member_boundedness_is_linear_forest():
-    from pocfvs.iso import is_linear_forest
-
+    examples = [(path(5) + 2 * path(1), True), (claw(), False), (cycle(3), False), (Graph(0), True)]
+    for h, expect in examples:
+        assert is_linear_forest(h) == expect
+        assert (structure_profile(h).kind == LINEAR_FOREST) == expect
+    for h in enumerate_all_graphs(5):
+        assert (structure_profile(h).kind == LINEAR_FOREST) == is_linear_forest(h)
     for _, h in oracle_catalog():
         assert family_covers_all([h]).bounded == is_linear_forest(h)
+        assert (structure_profile(h).kind == LINEAR_FOREST) == is_linear_forest(h)
 
 
 def test_must_contain_check():

@@ -3,6 +3,7 @@ import pytest
 from pocfvs import (
     FamilySpec,
     InvalidInputError,
+    ResourceLimitError,
     butterfly,
     claw,
     complete_bipartite,
@@ -22,7 +23,7 @@ from pocfvs.generators import parse_spec_list
 from pocfvs.iso import are_isomorphic, embeds_induced
 from pocfvs.solvers import min_cfvs, min_fvs
 
-from _oracles import subset_embedding_exists
+from _oracles import subset_embedding_exists, vertices_with_degree
 
 
 def test_path_and_cycle_basics():
@@ -49,13 +50,45 @@ def test_butterfly_counts_and_hubs():
                 assert b.edge_count == i + j + k
     b = butterfly(5, 9, 4)
     assert b.n == 17
-    hubs = b.vertices_with_degree(3)
+    hubs = vertices_with_degree(b, 3)
     assert hubs == (0, 8)
     assert b.without(hubs).is_acyclic()
     with pytest.raises(InvalidInputError):
         butterfly(2, 3, 1)
     with pytest.raises(InvalidInputError):
         butterfly(3, 3, 0)
+
+
+HUGE = 10**12
+
+# one case per parameter position that can carry a huge order
+OVERSIZED = [
+    (butterfly, (HUGE, 3, 1)),
+    (butterfly, (3, HUGE, 1)),
+    (butterfly, (3, 3, HUGE)),
+    (spider, (HUGE, 1, 1)),
+    (spider, (1, HUGE, 1)),
+    (spider, (1, 1, HUGE)),
+    (tadpole, (HUGE, 3)),
+    (tadpole, (0, HUGE)),
+    (cycle, (HUGE,)),
+    (hourglass_chain, (HUGE,)),
+    (gprime, (HUGE,)),
+    (gprime, (1, 1, 1, 1, 1, HUGE)),
+    (path, (HUGE,)),
+    (complete_bipartite, (HUGE, 1)),
+    (complete_bipartite, (1, HUGE)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, params", OVERSIZED, ids=[f"{f.__name__}-{p.index(HUGE)}" for f, p in OVERSIZED]
+)
+def test_generators_refuse_an_oversized_order_before_building(build, params):
+    # an edge list of 10**12 entries would exhaust memory long before Graph
+    # could check the order, so every generator must hand it edges lazily
+    with pytest.raises(ResourceLimitError):
+        build(*params)
 
 
 def test_butterfly_solver_values_small():
@@ -72,7 +105,7 @@ def test_spider_shapes():
     for k, p, q in [(1, 1, 1), (2, 1, 3), (3, 3, 3), (1, 2, 4)]:
         s = spider(k, p, q)
         assert s.is_acyclic() and s.is_connected()
-        assert s.vertices_with_degree(3) == (0,)
+        assert vertices_with_degree(s, 3) == (0,)
     with pytest.raises(InvalidInputError):
         spider(0, 1, 1)
 
@@ -81,7 +114,7 @@ def test_tadpole_shapes():
     assert are_isomorphic(tadpole(0, 5), cycle(5))
     d35 = tadpole(3, 5)
     assert d35.n == 8 and d35.edge_count == 8
-    assert d35.vertices_with_degree(3) == (0,)
+    assert vertices_with_degree(d35, 3) == (0,)
     for k in range(4):
         for r in range(3, 7):
             assert min_fvs(tadpole(k, r)).optimum == 1
@@ -106,7 +139,7 @@ def test_tadpole_monotone_chain():
 def test_hourglass_chain_structure():
     hg = hourglass()
     assert hg.n == 5 and hg.edge_count == 6
-    assert hg.vertices_with_degree(4) == (0,)
+    assert vertices_with_degree(hg, 4) == (0,)
     for k in (1, 2, 3):
         lk = hourglass_chain(k)
         assert lk.n == 5 * k + 1
@@ -148,7 +181,7 @@ def test_three_p1_witness():
 def test_gprime_structure_and_values():
     g1 = gprime(1)
     assert g1.n == 9
-    assert g1.vertices_with_degree(4) == (0, 1, 2)
+    assert vertices_with_degree(g1, 4) == (0, 1, 2)
     for t in (1, 2, 3):
         g = gprime(t)
         assert min_fvs(g, limit=g.n).optimum == 2
@@ -161,7 +194,7 @@ def test_gprime_structure_and_values():
 
 def test_copies():
     g = 3 * path(3)
-    assert g.n == 9 and len(g.connected_components()) == 3
+    assert g.n == 9 and len(g.mask_components(g.full_mask)) == 3
     # copy k occupies vertices k*n .. k*n + n-1, as repeated disjoint unions do
     assert g.edges() == ((0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8))
     assert are_isomorphic(2 * cycle(3), tadpole(0, 3) + tadpole(0, 3))

@@ -26,7 +26,6 @@ from pocfvs.iso import (
     embeds_induced,
     find_induced_embedding,
     is_free,
-    is_linear_forest,
 )
 
 from _oracles import enumerate_all_graphs, perm_isomorphic, subset_embedding_exists
@@ -90,16 +89,6 @@ def test_mutual_embedding_means_isomorphic():
         for h in catalog:
             if embeds_induced(g, h) and embeds_induced(h, g):
                 assert are_isomorphic(g, h)
-
-
-def test_linear_forest():
-    assert is_linear_forest(path(5) + 2 * path(1))
-    assert not is_linear_forest(claw())
-    assert not is_linear_forest(cycle(3))
-    assert is_linear_forest(Graph(0))
-    # equivalent formulation: acyclic with maximum degree at most 2
-    for g in enumerate_all_graphs(5):
-        assert is_linear_forest(g) == (g.is_acyclic() and g.max_degree() <= 2)
 
 
 def test_canonical_form_characterizes_isomorphism_upto_6():

@@ -1,6 +1,5 @@
 """Randomized structural properties, driven by hypothesis."""
 
-import math
 from datetime import timedelta
 
 import pytest
@@ -92,19 +91,6 @@ def test_induced_embedding_agrees_with_networkx(pattern, host):
                 assert pattern.has_edge(u, v) == host.has_edge(phi[u], phi[v])
 
 
-@given(graphs(max_n=9))
-@settings(max_examples=80, deadline=None)
-def test_distance_matrix_symmetric_with_triangle_inequality(g):
-    dist = g.distance_matrix()
-    for a in range(g.n):
-        assert dist[a][a] == 0
-        for b in range(g.n):
-            assert dist[a][b] == dist[b][a]
-            for c in range(g.n):
-                if dist[a][c] < math.inf and dist[c][b] < math.inf:
-                    assert dist[a][b] <= dist[a][c] + dist[c][b]
-
-
 @given(graphs(max_n=8), st.sets(st.integers(min_value=0, max_value=7)))
 @settings(max_examples=80, deadline=None)
 def test_fvs_witness_supersets_stay_feasible(g, extra):
@@ -117,9 +103,8 @@ def test_fvs_witness_supersets_stay_feasible(g, extra):
 @settings(max_examples=60, deadline=None)
 def test_union_component_additivity(g1, g2):
     u = disjoint_union(g1, g2)
-    assert len(u.connected_components()) == len(g1.connected_components()) + len(
-        g2.connected_components()
-    )
+    whole, left, right = (len(x.mask_components(x.full_mask)) for x in (u, g1, g2))
+    assert whole == left + right
     assert u.edge_count == g1.edge_count + g2.edge_count
 
 
