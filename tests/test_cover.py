@@ -197,12 +197,6 @@ def test_family_covers_all():
 
 
 def test_single_member_boundedness_is_linear_forest():
-    examples = [(path(5) + 2 * path(1), True), (claw(), False), (cycle(3), False), (Graph(0), True)]
-    for h, expect in examples:
-        assert is_linear_forest(h) == expect
-        assert (structure_profile(h).kind == LINEAR_FOREST) == expect
-    for h in enumerate_all_graphs(5):
-        assert (structure_profile(h).kind == LINEAR_FOREST) == is_linear_forest(h)
     for _, h in oracle_catalog():
         assert family_covers_all([h]).bounded == is_linear_forest(h)
         assert (structure_profile(h).kind == LINEAR_FOREST) == is_linear_forest(h)

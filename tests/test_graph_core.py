@@ -129,25 +129,36 @@ def test_distance_examples():
     assert len(b.shortest_path(x, y)) - 1 == 2
 
 
-def test_shortest_paths_and_diameter_match_floyd_warshall():
+def distances_from_routes(g):
+    """Every pair's distance read off ``shortest_path``; inf where it refuses."""
+    dist = [[math.inf] * g.n for _ in range(g.n)]
+    for u in range(g.n):
+        for v in range(g.n):
+            try:
+                dist[u][v] = len(g.shortest_path(u, v)) - 1
+            except InvalidInputError:
+                pass
+    return dist
+
+
+def test_distance_matrix_matches_floyd_warshall_and_properties():
     rng = random.Random(20130902)
     for _ in range(200):
         n = rng.randint(1, 10)
         g = random_graph(rng, n)
+        ours = distances_from_routes(g)
         ref = floyd_warshall(g)
-        for u in range(n):
-            for v in range(n):
-                if ref[u][v] == math.inf:
-                    with pytest.raises(InvalidInputError):
-                        g.shortest_path(u, v)
-                    continue
-                route = g.shortest_path(u, v)
-                assert len(route) - 1 == ref[u][v]
-                assert route[0] == u and route[-1] == v
-                assert all(g.has_edge(a, b) for a, b in zip(route, route[1:]))
+        for a in range(n):
+            for b in range(n):
+                assert ours[a][b] == ref[a][b]
+                assert ours[a][b] == ours[b][a]
+                for c in range(n):
+                    if ours[a][c] < math.inf and ours[c][b] < math.inf:
+                        assert ours[a][b] <= ours[a][c] + ours[c][b]
+        for a in range(n):
+            assert ours[a][a] == 0
         if g.is_connected():
             assert g.diameter() == max(max(row) for row in ref)
-
 
 def test_diameter_examples():
     assert cycle(5).diameter() == 2
@@ -170,6 +181,20 @@ def test_shortest_path_deterministic_tiebreak():
     assert g.shortest_path(0, 4) == (0, 1, 2, 3, 4)
     with pytest.raises(InvalidInputError):
         (path(2) + path(2)).shortest_path(0, 3)
+
+
+def test_shortest_path_length_matches_distance():
+    rng = random.Random(7)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(2, 9))
+        dist = floyd_warshall(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                if dist[u][v] < math.inf:
+                    route = g.shortest_path(u, v)
+                    assert len(route) == dist[u][v] + 1
+                    assert route[0] == u and route[-1] == v
+                    assert all(g.has_edge(a, b) for a, b in zip(route, route[1:]))
 
 
 def test_disjoint_union():

@@ -18,6 +18,7 @@ from pocfvs import (
     spider,
     tadpole,
 )
+from pocfvs.cover import LINEAR_FOREST, structure_profile
 from pocfvs.harness import enumerate_connected
 from pocfvs.iso import (
     _search,
@@ -28,7 +29,7 @@ from pocfvs.iso import (
     is_free,
 )
 
-from _oracles import enumerate_all_graphs, perm_isomorphic, subset_embedding_exists
+from _oracles import enumerate_all_graphs, is_linear_forest, perm_isomorphic, subset_embedding_exists
 
 
 def assert_valid_embedding(pattern, host, phi):
@@ -89,6 +90,17 @@ def test_mutual_embedding_means_isomorphic():
         for h in catalog:
             if embeds_induced(g, h) and embeds_induced(h, g):
                 assert are_isomorphic(g, h)
+
+
+def test_linear_forest():
+    examples = [(path(5) + 2 * path(1), True), (claw(), False), (cycle(3), False), (Graph(0), True)]
+    for h, expect in examples:
+        assert is_linear_forest(h) == expect
+        assert (structure_profile(h).kind == LINEAR_FOREST) == expect
+    # equivalent formulation: acyclic with maximum degree at most 2
+    for g in enumerate_all_graphs(5):
+        assert (structure_profile(g).kind == LINEAR_FOREST) == is_linear_forest(g)
+        assert is_linear_forest(g) == (g.is_acyclic() and max(g.degrees(), default=0) <= 2)
 
 
 def test_canonical_form_characterizes_isomorphism_upto_6():
