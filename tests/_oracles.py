@@ -7,7 +7,8 @@ docstrings: ``enumerate_all_graphs`` is a test corpus assembled from the
 library's own connected enumeration, ``reassemble`` and the ``*_by_hosts``
 searches build the library's generators and run its matcher, and
 ``normalize_min_fvs`` states a claim of the paper with the library's
-solvers.
+solvers, and ``plain_cfvs_walk`` accepts with the library's mask tests,
+since what it checks is the order and the count of the walk.
 """
 
 from __future__ import annotations
@@ -403,6 +404,32 @@ def lies_on_cycle(g, v: int) -> bool:
         if (comp & g.mask(v)).bit_count() >= 2:
             return True
     return False
+
+
+def plain_first_subset(universe_mask: int, accept, start: int = 0):
+    """The subset walk with nothing pruned: (first accepted mask or None, sets tried).
+
+    Every subset of ``universe_mask`` is tried, by size from ``start``,
+    lexicographically within a size.
+    """
+    bits = [1 << v for v in range(universe_mask.bit_length()) if universe_mask >> v & 1]
+    explored = 0
+    for k in range(start, len(bits) + 1):
+        for m in map(sum, combinations(bits, k)):
+            explored += 1
+            if accept(m):
+                return m, explored
+    return None, explored
+
+
+def plain_cfvs_walk(g, start: int):
+    """``solvers._cfvs_walk`` by the plain walk: (witness mask, sets tried)."""
+    full = g.full_mask
+    return plain_first_subset(
+        full,
+        lambda c: (not c or g.mask_is_connected(c)) and g.mask_is_acyclic(full & ~c),
+        start,
+    )
 
 
 def normalize_min_fvs(g, limit: int | None = None):

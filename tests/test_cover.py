@@ -35,7 +35,7 @@ from pocfvs.cover import (
     render_pair_table,
     structure_profile,
 )
-from pocfvs.iso import are_isomorphic, embeds_induced
+from pocfvs.iso import _Pattern, are_isomorphic, embeds_induced
 from pocfvs.verification import oracle_catalog
 
 from _oracles import (
@@ -111,6 +111,36 @@ def test_structure_profiles_are_byte_stable():
         h.update(json.dumps([p.kind, p.tadpoles, p.spiders, p.linear_forest]).encode())
         h.update(b"\n")
     assert h.hexdigest() == STRUCTURE_PROFILES_DIGEST
+
+
+# sha256 of json.dumps of each graph's covered_pairs verdicts on the pairs
+# i <= j in 3..12, one line per graph of _graphs_upto(7) with n >= 1, as
+# the reference implementation computed them
+COVER_SWEEP_DIGEST = "c2961f507faa738227c884cd0712359dc4dc487354ea052a01d7b0be98690779"
+
+
+def test_symbolic_cover_matches_the_matcher_up_to_7():
+    # the lemma table against the matcher on every graph with n <= 7; the
+    # host length 2n + 1 is the one covers_bruteforce builds
+    h = hashlib.sha256()
+    checks = 0
+    for g in _graphs_upto(7)[1:]:
+        pairs, pattern = covered_pairs(g), _Pattern(g)
+        verdicts = []
+        for i in range(3, 13):
+            for j in range(i, 13):
+                verdict = pairs.contains(i, j)
+                assert verdict == (pattern.find(butterfly(i, j, 2 * g.n + 1)) is not None), (
+                    g.edges(),
+                    i,
+                    j,
+                )
+                verdicts.append(verdict)
+        checks += len(verdicts)
+        h.update(json.dumps(verdicts).encode())
+        h.update(b"\n")
+    assert checks == 68_860
+    assert h.hexdigest() == COVER_SWEEP_DIGEST
 
 
 def test_pairset_primitives():

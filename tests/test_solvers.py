@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pocfvs import (
     Graph,
@@ -17,6 +19,7 @@ from pocfvs import (
     spider,
     tadpole,
 )
+from pocfvs.graph import iter_bits
 from pocfvs.harness import enumerate_connected
 from pocfvs.solvers import (
     _cfvs_walk,
@@ -40,6 +43,7 @@ from _oracles import (
     naive_min_ds,
     naive_min_fvs,
     normalize_min_fvs,
+    plain_cfvs_walk,
 )
 
 
@@ -253,3 +257,90 @@ def test_solver_witnesses_are_byte_stable():
         "normalize_min_fvs": _solver_digest(normalize_min_fvs(g) for g in normalizable),
     }
     assert digests == SOLVER_DIGESTS
+
+
+# sha256 of shortest_cycle(g, mask) for every vertex mask of every connected
+# graph with n <= 6, as the reference implementation returned them
+SHORTEST_CYCLE_ALL_MASKS_DIGEST = "9656ceddc1b72da28806d924966fed4542200a1ee7d610e2f1fc9e8e4099188d"
+
+
+def test_shortest_cycle_is_byte_stable_on_every_mask():
+    rows = (
+        shortest_cycle(g, mask)
+        for n in range(1, 7)
+        for g in enumerate_connected(n)
+        for mask in range(1 << n)
+    )
+    assert _digest(rows) == SHORTEST_CYCLE_ALL_MASKS_DIGEST
+
+
+# (order n, bridge length k) of the butterflies the benchmark's query mix
+# solves; cfvs = k + 1, so the cfvs walk passes every set of size <= k
+BUTTERFLY_STRATA = [
+    (6, 1), (8, 2), (9, 3), (11, 4), (12, 5), (14, 6), (15, 7),
+    (16, 8), (17, 9), (18, 2), (18, 4), (18, 7), (18, 10),
+]
+
+
+def _walk_corpus():
+    """Relabelled butterflies of every stratum, L_1..L_3 and K_{3,l} for l = 3..8."""
+    rng = random.Random(0)
+
+    def relabel(g):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        return g.relabel(order)
+
+    out = []
+    for n, k in BUTTERFLY_STRATA:
+        i = rng.randint(3, n - k - 2)
+        out.append(relabel(butterfly(i, n - k + 1 - i, k)))
+    out += [relabel(hourglass_chain(k)) for k in (1, 2, 3)]
+    out += [relabel(complete_bipartite(3, ell)) for ell in range(3, 9)]
+    return out
+
+
+def _fvs_and_cfvs_row(g):
+    m, explored = _cfvs_walk(g, min_fvs(g).optimum)
+    return [*fvs_and_cfvs(g), list(iter_bits(m)), explored]
+
+
+# sha256 of min_cfvs's (optimum, sorted witness, explored), and of fvs,
+# cfvs, the witness and the count of the walk from fvs, on graphs whose
+# walks pass tens of thousands of sets, as the reference implementation
+# returned them
+WALK_DIGESTS = {
+    "min_cfvs": "31ad601228769ce1205d14f3a37967fb9b6653d0f7c249a2802f17da12a76714",
+    "fvs_and_cfvs": "92a444b7368bd903cd9a3ec0f44a508b527d7fff732e0e87da52d24267410b09",
+}
+
+
+def test_cfvs_walks_are_byte_stable_on_large_witness_graphs():
+    corpus = _walk_corpus()
+    assert [g.n for g in corpus[:13]] == [n for n, _ in BUTTERFLY_STRATA]
+    digests = {
+        "min_cfvs": _solver_digest(min_cfvs(g) for g in corpus),
+        "fvs_and_cfvs": _digest(_fvs_and_cfvs_row(g) for g in corpus),
+    }
+    assert digests == WALK_DIGESTS
+
+
+@st.composite
+def connected_graphs(draw, max_n=13):
+    """A random spanning tree plus random extra edges, randomly relabelled."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    if n >= 2:
+        slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        extra = draw(st.integers(min_value=0, max_value=3 * n))
+        edges += draw(st.lists(st.sampled_from(slots), min_size=extra, max_size=extra))
+    return Graph(n, edges).relabel(draw(st.permutations(range(n))))
+
+
+@given(connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_cfvs_walk_matches_the_plain_walk(g):
+    res = min_cfvs(g)
+    assert (g.vertex_mask(res.witness), res.explored) == plain_cfvs_walk(g, 0)
+    f = min_fvs(g).optimum
+    assert _cfvs_walk(g, f) == plain_cfvs_walk(g, f)
