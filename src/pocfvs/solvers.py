@@ -8,9 +8,12 @@ exhaustive search whose optimality follows from its search order alone:
 * ``min_cfvs``, ``min_ds`` and ``min_cds`` all run the one subset search,
   :func:`first_subset`: candidate vertex sets in increasing cardinality,
   lexicographically within a size, and the first feasible one wins. The
-  constructive module's exhaustive minima use it too.
+  constructive module's exhaustive minima use it too. ``min_cfvs`` also
+  hands the walk a test that skips a run of candidates sharing a prefix
+  when none of them can be a connected FVS; the skipped sets are still
+  counted, so the witness and ``explored`` are those of the full walk.
 * The public ``min_cfvs`` walks from the empty set, so its ``explored``
-  counts every set it rejects. Callers that already hold fvs(G)
+  counts every set it passes. Callers that already hold fvs(G)
   (``poc_ratio``, ``poc_difference`` and the harness drivers) start the
   same walk at size fvs(G) instead: every connected FVS is an FVS, so no
   smaller set is accepted, and the first set accepted, the witness, is the
@@ -24,7 +27,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from math import comb
 
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .graph import Graph, iter_bits
@@ -53,8 +57,10 @@ def _guard(g: Graph, limit: int | None) -> None:
 class SolveResult:
     """Optimum value, one optimal witness, and the search effort.
 
-    ``explored`` counts the candidate sets examined, the empty set included
-    wherever it is tried; in ``min_fvs`` it counts search nodes instead.
+    ``explored`` counts the candidate sets the subset walk passes up to and
+    including the witness, the empty set included wherever the walk starts
+    there, whether each was tried or counted in a skipped run; in
+    ``min_fvs`` it counts search nodes instead.
     """
 
     optimum: int
@@ -71,10 +77,20 @@ def shortest_cycle(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
     through the deepest common ancestor in its root's BFS tree, which yields
     a simple cycle of girth length. The result is sorted, and deterministic
     for a fixed graph.
+
+    A triangle is the BFS's answer without the BFS: a length-3 candidate
+    comes only from a root whose neighbourhood holds an edge, so the least
+    such root and the least edge (a, b) inside its neighbourhood win.
     """
     if mask is None:
         mask = g.full_mask
     adj = [g.mask(v) & mask for v in range(g.n)]
+    for root in iter_bits(mask):
+        for a in iter_bits(adj[root]):
+            inner = adj[a] & adj[root]
+            if inner:
+                b = (inner & -inner).bit_length() - 1
+                return tuple(sorted((root, a, b)))
     best = None  # (length, root, a, b)
     for root in iter_bits(mask):
         tree = [-1] * g.n
@@ -104,8 +120,6 @@ def shortest_cycle(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
                     nxt.append(w)
             layer, frontier = outer, nxt
             depth += 1
-        if best is not None and best[0] == 3:
-            break
     if best is None:
         return None
     _, _, a, b = best
@@ -158,22 +172,54 @@ def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
     raise ContradictionError("removing all vertices must leave a forest")
 
 
-def first_subset(universe_mask: int, accept, start: int = 0, stop: int | None = None):
+# a subtree of fewer sets than this is tried set by set: a viability test
+# costs about as much as the few sets it could skip. At least 2, so the walk
+# never descends below a complete set
+_PLAIN_BELOW = 32
+
+
+def first_subset(universe_mask: int, accept, start: int = 0, viable=None):
     """First subset of ``universe_mask`` that ``accept`` takes, as a vertex mask.
 
-    Subsets are tried by size from ``start`` to ``stop`` (default: all of
-    the universe), lexicographically within a size. Returns the accepted
-    mask, or ``None``, together with the number of subsets tried.
+    Subsets go by size from ``start``, lexicographically within a size: one
+    depth-first walk over the prefixes of that order. ``viable(chosen,
+    excluded)``, if given, may cut a prefix off. ``chosen`` masks the prefix,
+    ``excluded`` every earlier universe vertex left out of it, and it may
+    return False only when no accepted set holds ``chosen`` and avoids
+    ``excluded``. Such a subtree is counted, not tried. Subtrees of fewer
+    than ``_PLAIN_BELOW`` sets are always tried set by set.
+
+    Returns the accepted mask, or ``None``, together with the number of sets
+    passed, tried or counted: exactly the sets the plain walk would try.
     """
     bits = [1 << v for v in iter_bits(universe_mask)]
-    if stop is None:
-        stop = len(bits)
+    n = len(bits)
     explored = 0
-    for k in range(start, stop + 1):
-        for m in map(sum, combinations(bits, k)):
-            explored += 1
-            if accept(m):
-                return m, explored
+
+    def walk(chosen: int, excluded: int, lo: int, need: int) -> int | None:
+        # the sets that add ``need`` of bits[lo:] to ``chosen``, in order
+        nonlocal explored
+        size = comb(n - lo, need)
+        if viable is None or size < _PLAIN_BELOW:
+            for m in map(sum, combinations(bits[lo:], need), repeat(chosen)):
+                explored += 1
+                if accept(m):
+                    return m
+            return None
+        if chosen and not viable(chosen, excluded):
+            explored += size
+            return None
+        for j in range(lo, n - need + 1):
+            m = walk(chosen | bits[j], excluded, j + 1, need - 1)
+            if m is not None:
+                return m
+            excluded |= bits[j]
+        return None
+
+    for k in range(start, n + 1):
+        m = walk(0, 0, 0, k)
+        if m is not None:
+            return m, explored
     return None, explored
 
 
@@ -190,16 +236,26 @@ def min_cfvs(g: Graph, limit: int | None = None) -> SolveResult:
 
 
 def _cfvs_walk(g: Graph, start: int) -> tuple[int, int]:
-    """The :func:`min_cfvs` subset walk from size ``start``: (witness mask, sets tried).
+    """The :func:`min_cfvs` subset walk from size ``start``: (witness mask, sets passed).
 
     ``g`` must be connected and already guarded. Any ``start`` up to fvs(g)
     returns the same mask, since no smaller set is an FVS.
     """
     full = g.full_mask
+
+    def viable(chosen: int, excluded: int) -> bool:
+        # an accepted set below this prefix is connected, holds ``chosen``
+        # and avoids ``excluded``, so it lies inside the component K of
+        # chosen's least vertex in G - excluded, and G - K is a forest
+        least = (chosen & -chosen).bit_length() - 1
+        k = g.mask_component(least, full & ~excluded)
+        return not chosen & ~k and g.mask_is_acyclic(full & ~k)
+
     m, explored = first_subset(
         full,
         lambda c: (not c or g.mask_is_connected(c)) and g.mask_is_acyclic(full & ~c),
-        start=start,
+        start,
+        viable,
     )
     if m is None:
         raise ContradictionError("the full vertex set is always a connected FVS")

@@ -436,13 +436,13 @@ def normalize_min_fvs(g, limit: int | None = None):
     """A minimum FVS whose vertices all have degree >= 3 and lie on a cycle.
 
     The paper claims such a set exists for every connected non-cycle graph.
-    The search runs the library's ``first_subset`` over every minimum
-    feedback vertex set, and failure raises ``ContradictionError`` because
-    it would falsify that claim.
+    The search tries every set of size fvs(g) lexicographically, and
+    failure raises ``ContradictionError`` because it would falsify that
+    claim.
     """
     from pocfvs import ContradictionError, InvalidInputError
     from pocfvs.graph import iter_bits
-    from pocfvs.solvers import SolveResult, _guard, first_subset, min_fvs
+    from pocfvs.solvers import SolveResult, _guard, min_fvs
 
     _guard(g, limit)
     if not g.is_connected():
@@ -452,11 +452,11 @@ def normalize_min_fvs(g, limit: int | None = None):
     k = min_fvs(g, limit).optimum
     full = g.full_mask
     good = sum(1 << v for v in range(g.n) if g.degree(v) >= 3 and lies_on_cycle(g, v))
-    m, explored = first_subset(
-        full, lambda c: not c & ~good and g.mask_is_acyclic(full & ~c), start=k, stop=k
-    )
-    if m is not None:
-        return SolveResult(k, frozenset(iter_bits(m)), explored)
+    explored = 0
+    for m in map(sum, combinations([1 << v for v in range(g.n)], k)):
+        explored += 1
+        if not m & ~good and g.mask_is_acyclic(full & ~m):
+            return SolveResult(k, frozenset(iter_bits(m)), explored)
     raise ContradictionError(
         "no minimum feedback vertex set with all vertices of degree >= 3 on cycles; "
         f"graph n={g.n} edges={g.edges()}"
