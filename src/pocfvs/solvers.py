@@ -80,7 +80,10 @@ def shortest_cycle(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
 
     A triangle is the BFS's answer without the BFS: a length-3 candidate
     comes only from a root whose neighbourhood holds an edge, so the least
-    such root and the least edge (a, b) inside its neighbourhood win.
+    such root and the least edge (a, b) inside its neighbourhood win. The
+    triple is already ascending: every vertex of a triangle has an edge in
+    its neighbourhood, so the root is least, and b, a neighbour of a in
+    that neighbourhood, is not below a, the least vertex there with one.
     """
     if mask is None:
         mask = g.full_mask
@@ -90,7 +93,7 @@ def shortest_cycle(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
             inner = adj[a] & adj[root]
             if inner:
                 b = (inner & -inner).bit_length() - 1
-                return tuple(sorted((root, a, b)))
+                return root, a, b
     best = None  # (length, root, a, b)
     for root in iter_bits(mask):
         tree = [-1] * g.n
