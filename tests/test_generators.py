@@ -20,6 +20,7 @@ from pocfvs import (
     three_p1_witness,
 )
 from pocfvs.generators import parse_spec_list
+from pocfvs.graph import MAX_ORDER
 from pocfvs.iso import are_isomorphic, embeds_induced
 from pocfvs.solvers import min_cfvs, min_fvs
 
@@ -89,6 +90,23 @@ def test_generators_refuse_an_oversized_order_before_building(build, params):
     # could check the order, so every generator must hand it edges lazily
     with pytest.raises(ResourceLimitError):
         build(*params)
+
+
+# specs whose order is exactly the cap build; one vertex more is refused,
+# whether the excess comes from a family parameter, a copy count or a union
+AT_CAP = ["P512", "2P256", "P256+P256", "butterfly:3,3,507", "gprime:1,1,1,1,1,504"]
+OVER_CAP = ["P513", "2P257", "P256+P257", "257P2", "butterfly:3,3,508", "gprime:85", "Lk:103"]
+
+
+@pytest.mark.parametrize(
+    "text, fits", [(t, True) for t in AT_CAP] + [(t, False) for t in OVER_CAP]
+)
+def test_specs_at_the_order_cap(text, fits):
+    if fits:
+        assert graph_from_text(text).n == MAX_ORDER
+    else:
+        with pytest.raises(ResourceLimitError):
+            graph_from_text(text)
 
 
 def test_butterfly_solver_values_small():
