@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, chain, pairwise
 
-from .errors import InvalidInputError, ResourceLimitError
-from .graph import MAX_ORDER, Graph, disjoint_union
+from .errors import InvalidInputError
+from .graph import Graph, disjoint_union
 
 
-# Every generator hands Graph a lazy edge iterable, so Graph's order check
-# refuses an oversized graph before any edge is made.
+# Every generator hands Graph a lazy edge iterable, so Graph's order check,
+# the only one, refuses an oversized graph before any edge is made.
 def _ring(start: int, r: int):
     """The edges of a cycle on ``start..start+r-1`` in ring order."""
     return ((start + v, start + (v + 1) % r) for v in range(r))
@@ -144,20 +145,19 @@ def gprime(*t: int) -> Graph:
 
 # -- family specs ----------------------------------------------------------
 
-# name -> (constructor, parameter count or None, vertex count from the parameters)
+# name -> (constructor, parameter count or None)
 _FAMILIES = {
-    "path": (path, 1, lambda k: k),
-    "cycle": (cycle, 1, lambda r: r),
-    "butterfly": (butterfly, 3, lambda i, j, k: i + j + k - 1),
-    "spider": (spider, 3, lambda k, p, q: k + p + q + 1),
-    "tadpole": (tadpole, 2, lambda k, r: k + r),
-    "hourglass-chain": (hourglass_chain, 1, lambda k: 5 * k + 1),
-    "complete-bipartite": (complete_bipartite, 2, lambda m, n: m + n),
-    "threeP1-witness": (three_p1_witness, 0, lambda: 6),
-    "hourglass": (hourglass, 0, lambda: 5),
-    "claw": (claw, 0, lambda: 4),
-    # 1 or 6 parameters
-    "gprime": (gprime, None, lambda *t: 3 + sum(t) * (6 if len(t) == 1 else 1)),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "butterfly": (butterfly, 3),
+    "spider": (spider, 3),
+    "tadpole": (tadpole, 2),
+    "hourglass-chain": (hourglass_chain, 1),
+    "complete-bipartite": (complete_bipartite, 2),
+    "threeP1-witness": (three_p1_witness, 0),
+    "hourglass": (hourglass, 0),
+    "claw": (claw, 0),
+    "gprime": (gprime, None),  # 1 or 6 parameters
 }
 
 @dataclass(frozen=True)
@@ -181,42 +181,21 @@ class FamilySpec:
         return self.family
 
 
-def _spec_order(spec: FamilySpec) -> int:
-    """Vertex count of ``spec``'s graph, checked against the limit at every node."""
-    if spec.family == "union":
-        n = sum(_spec_order(part) for part in spec.parts)
-    elif spec.family == "copies":
-        n = spec.params[0] * _spec_order(spec.parts[0])
-    else:
-        try:
-            _, arity, order = _FAMILIES[spec.family]
-        except KeyError:
-            raise InvalidInputError(f"unknown family {spec.family!r}") from None
-        if arity is not None and len(spec.params) != arity:
-            raise InvalidInputError(
-                f"family {spec.family!r} takes {arity} parameters, got {len(spec.params)}"
-            )
-        n = order(*spec.params)
-    if n > MAX_ORDER:
-        raise ResourceLimitError(f"graph spec has more than {MAX_ORDER} vertices")
-    return n
-
-
-def _build(spec: FamilySpec) -> Graph:
-    if spec.family == "union":
-        out = Graph(0)
-        for part in spec.parts:
-            out = disjoint_union(out, _build(part))
-        return out
-    if spec.family == "copies":
-        return spec.params[0] * _build(spec.parts[0])
-    return _FAMILIES[spec.family][0](*spec.params)
-
-
 def from_spec(spec: FamilySpec) -> Graph:
-    """Build ``spec``'s graph, after its vertex count is checked without building it."""
-    _spec_order(spec)
-    return _build(spec)
+    """Build ``spec``'s graph; ``Graph`` refuses an oversized order before any edge."""
+    if spec.family == "union":
+        return reduce(disjoint_union, map(from_spec, spec.parts), Graph(0))
+    if spec.family == "copies":
+        return spec.params[0] * from_spec(spec.parts[0])
+    try:
+        build, arity = _FAMILIES[spec.family]
+    except KeyError:
+        raise InvalidInputError(f"unknown family {spec.family!r}") from None
+    if arity is not None and len(spec.params) != arity:
+        raise InvalidInputError(
+            f"family {spec.family!r} takes {arity} parameters, got {len(spec.params)}"
+        )
+    return build(*spec.params)
 
 
 _ALIASES = {

@@ -10,6 +10,7 @@ which validates it once.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -43,7 +44,8 @@ class Graph:
         if n < 0:
             raise InvalidInputError(f"vertex count must be non-negative, got {n}")
         if n > MAX_ORDER:
-            raise ResourceLimitError(f"graph has {n} vertices, the limit is {MAX_ORDER}")
+            # n itself is not formatted: str() refuses an int of over 4,300 digits
+            raise ResourceLimitError(f"graph has more than {MAX_ORDER} vertices")
         masks = [0] * n
         # a non-integer endpoint or an edge that is not a pair fails in the
         # comparison, the unpacking or the shift; no per-edge type test
@@ -116,10 +118,10 @@ class Graph:
         if not isinstance(s, int) or s < 0:
             raise InvalidInputError(f"copy count must be a non-negative integer, got {s!r}")
         n = self.n
-        if s * n > MAX_ORDER:  # refuse before the edge list is built
-            raise ResourceLimitError(f"graph has {s * n} vertices, the limit is {MAX_ORDER}")
-        edges = self.edges()
-        return Graph(s * n, [(u + k * n, v + k * n) for k in range(s) for u, v in edges])
+        # lazy, so Graph refuses an oversized order before any copy is made;
+        # copies innermost, so an edgeless graph takes no pass over range(s)
+        copies = ((u + k * n, v + k * n) for u, v in self.edges() for k in range(s))
+        return Graph(s * n, copies)
 
     def relabel(self, order: Iterable[int]) -> "Graph":
         """Return the graph with old vertex ``order[i]`` renamed to ``i``."""
@@ -240,5 +242,5 @@ class Graph:
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; ``g2``'s vertices are shifted up by ``g1.n``."""
     shift = g1.n
-    edges = list(g1.edges()) + [(u + shift, v + shift) for u, v in g2.edges()]
-    return Graph(g1.n + g2.n, edges)
+    shifted = ((u + shift, v + shift) for u, v in g2.edges())
+    return Graph(g1.n + g2.n, chain(g1.edges(), shifted))

@@ -209,6 +209,8 @@ def test_resource_limit_exit_code(capsys):
         ("solve", "gprime:3", "--cfvs"),
         ("solve", "200000P3"),
         ("solve", "butterfly:3,3,1000000000"),
+        # an order of 4,301 digits, too long for str(); the refusal does not print it
+        ("solve", "butterfly:3,3," + "9" * 4300),
         ("covers", "P990", "3", "3", "--brute"),
         # the butterfly's order is refused before any of its edges are built
         ("covers", "C3", "3", "100000000000"),

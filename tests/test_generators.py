@@ -259,6 +259,11 @@ def test_parse_spec_errors():
     for bad in ("", "wat:1", "P", "butterfly:3,3", "spider:1,2", "cycle:x"):
         with pytest.raises(InvalidInputError):
             graph_from_text(bad)
+    # a hand-built spec skips the parser; from_spec checks family and arity itself
+    for bad in (FamilySpec("wat"), FamilySpec("claw", (1,)), FamilySpec("cycle", (3, 4))):
+        for spec in (bad, FamilySpec("union", (), (FamilySpec("claw"), bad))):
+            with pytest.raises(InvalidInputError):
+                from_spec(spec)
 
 
 def test_family_spec_describe():

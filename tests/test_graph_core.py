@@ -50,6 +50,16 @@ def test_graph_order_is_capped_before_allocation():
     # refused before the copies' edge list is built
     with pytest.raises(ResourceLimitError):
         10**12 * path(3)
+    # an edgeless graph's copies take no pass over the count
+    assert (10**12 * Graph(0)).n == 0
+
+
+def test_order_too_long_to_print_is_still_a_resource_limit():
+    # str() refuses an int of more than 4,300 digits, so the refusal must not format n
+    huge = 10**5000
+    for build in (lambda: Graph(huge), lambda: huge * path(1), lambda: butterfly(3, 3, huge)):
+        with pytest.raises(ResourceLimitError, match="more than 512 vertices"):
+            build()
 
 
 def test_vertex_sets_are_validated():
