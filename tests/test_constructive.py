@@ -16,6 +16,7 @@ from pocfvs import (
 )
 from pocfvs.constructive import (
     ProcedureTrace,
+    _sp3_pipeline,
     connectify_by_paths,
     connectify_p5sp1,
     connectify_sp3,
@@ -277,6 +278,17 @@ def test_trace_checkpoint_rejects_non_fvs():
     trace = ProcedureTrace("test", 3)
     with pytest.raises(ContradictionError):
         trace.checkpoint(cycle(3), (), "bad")
+
+
+def test_sp3_pipeline_refuses_too_many_middle_vertices():
+    # C_14 contains 2P_3, so the paper's lemma does not apply, and the core
+    # trusts its caller. With the scaffold {0, 1, 2} the path 3..13 is left
+    # outside the set, and its 9 = 4s + 1 inner vertices are middles, one
+    # more than the certified 4s
+    g = cycle(14)
+    trace = ProcedureTrace("test", g.n)
+    with pytest.raises(ContradictionError, match="too many middle vertices"):
+        _sp3_pipeline(g, 2, {0: 0, 1: 1, 2: 2}, min_fvs(g), trace)
 
 
 # graphs found by randomized search that drive the rarer pipeline stages;
