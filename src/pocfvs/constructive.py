@@ -110,8 +110,8 @@ class ProcedureTrace:
             "result_size": len(self.result),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 # -- shortest-path connectification ------------------------------------------

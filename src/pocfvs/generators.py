@@ -171,15 +171,6 @@ class FamilySpec:
     params: tuple[int, ...] = ()
     parts: tuple["FamilySpec", ...] = field(default=())
 
-    def describe(self) -> str:
-        if self.family == "union":
-            return "+".join(p.describe() for p in self.parts)
-        if self.family == "copies":
-            return f"{self.params[0]}*({self.parts[0].describe()})"
-        if self.params:
-            return f"{self.family}:{','.join(map(str, self.params))}"
-        return self.family
-
 
 def from_spec(spec: FamilySpec) -> Graph:
     """Build ``spec``'s graph; ``Graph`` refuses an oversized order before any edge."""

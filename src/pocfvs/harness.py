@@ -343,17 +343,16 @@ def _small_butterflies(max_order: int) -> list[Graph]:
     return out
 
 
-def gprime_experiment(t_max: int, pattern_order: int = 12) -> SubdivisionReport:
+def gprime_experiment(t_max: int) -> SubdivisionReport:
     """Uniformly subdivided doubled triangles: small fvs, growing cfvs.
 
     Checks that every instance keeps fvs = 2, that cfvs strictly increases
-    with the subdivision count, and that no butterfly on up to
-    ``pattern_order`` vertices embeds. Violations contradict certified
-    structure and raise.
+    with the subdivision count, and that no butterfly on up to 12 vertices
+    embeds. Violations contradict certified structure and raise.
     """
     if t_max < 1:
         raise InvalidInputError(f"t_max must be >= 1, got {t_max}")
-    butterfly_free = free_filter(_small_butterflies(pattern_order))
+    butterfly_free = free_filter(_small_butterflies(12))
     rows = []
     prev_cfvs = None
     for t in range(1, t_max + 1):

@@ -13,7 +13,6 @@ from pocfvs import (
     graph_from_text,
     hourglass,
     hourglass_chain,
-    parse_spec,
     path,
     spider,
     tadpole,
@@ -264,9 +263,3 @@ def test_parse_spec_errors():
         for spec in (bad, FamilySpec("union", (), (FamilySpec("claw"), bad))):
             with pytest.raises(InvalidInputError):
                 from_spec(spec)
-
-
-def test_family_spec_describe():
-    spec = parse_spec("P4+P2")
-    assert spec.describe() == "path:4+path:2"
-    assert FamilySpec("claw").describe() == "claw"
