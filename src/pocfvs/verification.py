@@ -27,7 +27,7 @@ from .generators import (
     three_p1_witness,
 )
 from .graph import Graph
-from .harness import enumerate_connected, gprime_experiment, tetrachotomy_classify
+from .harness import enumerate_connected_upto, gprime_experiment, tetrachotomy_classify
 from .iso import is_free
 from .constructive import connectify_by_paths, connectify_p5sp1, connectify_sp3, sp3_constant
 from .solvers import is_cfvs, is_fvs, min_cds, min_cfvs, min_ds, min_fvs
@@ -231,12 +231,11 @@ def check_tetrachotomy_catalog() -> CheckResult:
 def check_p3_free_equality() -> CheckResult:
     failures = []
     total = 0
-    for n in range(1, 9):
-        for g in enumerate_connected(n, forbidden=(path(3),)):
-            total += 1
-            f, c = min_fvs(g).optimum, min_cfvs(g).optimum
-            if f != c:
-                failures.append(f"n={n}: fvs {f} != cfvs {c}")
+    for g in enumerate_connected_upto(8, forbidden=(path(3),)):
+        total += 1
+        f, c = min_fvs(g).optimum, min_cfvs(g).optimum
+        if f != c:
+            failures.append(f"n={g.n}: fvs {f} != cfvs {c}")
     return _result(
         "p3-free-equality", failures, f"cfvs = fvs on all {total} connected P_3-free graphs n<=8"
     )
@@ -245,15 +244,14 @@ def check_p3_free_equality() -> CheckResult:
 def check_p5_free_bound() -> CheckResult:
     failures = []
     total = 0
-    for n in range(1, 8):
-        for g in enumerate_connected(n, forbidden=(path(5),)):
-            total += 1
-            result, _ = connectify_p5sp1(g, 0)
-            f = min_fvs(g).optimum
-            if not is_cfvs(g, result):
-                failures.append(f"n={n}: invalid output on {g!r}")
-            elif len(result) > f + 3:
-                failures.append(f"n={n}: size {len(result)} > fvs {f} + 3")
+    for g in enumerate_connected_upto(7, forbidden=(path(5),)):
+        total += 1
+        result, _ = connectify_p5sp1(g, 0)
+        f = min_fvs(g).optimum
+        if not is_cfvs(g, result):
+            failures.append(f"n={g.n}: invalid output on {g!r}")
+        elif len(result) > f + 3:
+            failures.append(f"n={g.n}: size {len(result)} > fvs {f} + 3")
     return _result(
         "p5-free-additive-bound",
         failures,
@@ -264,25 +262,24 @@ def check_p5_free_bound() -> CheckResult:
 def check_2p3_free_bound() -> CheckResult:
     failures = []
     total = 0
-    for n in range(1, 9):
-        for g in enumerate_connected(n, forbidden=(2 * path(3),)):
-            total += 1
-            result, trace = connectify_sp3(g, 2)
-            # the pipeline's certified bound is its minimum fvs plus the constant
-            f = trace.claimed_bound - sp3_constant(2)
-            if not is_cfvs(g, result):
-                failures.append(f"n={n}: invalid output")
-            elif len(result) > f + 42:
-                failures.append(f"n={n}: size {len(result)} > fvs {f} + 42")
-            for intermediate in trace.fvs_checkpoints:
-                if not is_fvs(g, intermediate):
-                    failures.append(f"n={n}: trace intermediate is not an FVS")
-                    break
-            for swap in trace.swaps:
-                x, y = swap["removed"], swap["added"]
-                if g.closed_mask(x) & ~g.closed_mask(y):
-                    failures.append(f"n={n}: swap {x}->{y} lacks containment")
-                    break
+    for g in enumerate_connected_upto(8, forbidden=(2 * path(3),)):
+        total += 1
+        result, trace = connectify_sp3(g, 2)
+        # the pipeline's certified bound is its minimum fvs plus the constant
+        f = trace.claimed_bound - sp3_constant(2)
+        if not is_cfvs(g, result):
+            failures.append(f"n={g.n}: invalid output")
+        elif len(result) > f + 42:
+            failures.append(f"n={g.n}: size {len(result)} > fvs {f} + 42")
+        for intermediate in trace.fvs_checkpoints:
+            if not is_fvs(g, intermediate):
+                failures.append(f"n={g.n}: trace intermediate is not an FVS")
+                break
+        for swap in trace.swaps:
+            x, y = swap["removed"], swap["added"]
+            if g.closed_mask(x) & ~g.closed_mask(y):
+                failures.append(f"n={g.n}: swap {x}->{y} lacks containment")
+                break
     return _result(
         "2p3-free-additive-bound",
         failures,
@@ -295,19 +292,16 @@ def check_path_construction_bound() -> CheckResult:
     bridge = 4 * 9  # covering context for a single 4-vertex pattern
     failures = []
     total = 0
-    for n in range(1, 9):
-        for g in enumerate_connected(n, forbidden=(path(4),)):
-            total += 1
-            f_res = min_fvs(g)
-            result, _ = connectify_by_paths(g, f_res.witness)
-            if not is_cfvs(g, result):
-                failures.append(f"n={n}: invalid output")
-            elif len(result) > bridge * f_res.optimum:
-                failures.append(
-                    f"n={n}: size {len(result)} > {bridge} * fvs {f_res.optimum}"
-                )
-            if g.diameter() > bridge:
-                failures.append(f"n={n}: diameter {g.diameter()} above {bridge}")
+    for g in enumerate_connected_upto(8, forbidden=(path(4),)):
+        total += 1
+        f_res = min_fvs(g)
+        result, _ = connectify_by_paths(g, f_res.witness)
+        if not is_cfvs(g, result):
+            failures.append(f"n={g.n}: invalid output")
+        elif len(result) > bridge * f_res.optimum:
+            failures.append(f"n={g.n}: size {len(result)} > {bridge} * fvs {f_res.optimum}")
+        if g.diameter() > bridge:
+            failures.append(f"n={g.n}: diameter {g.diameter()} above {bridge}")
     return _result(
         "path-construction-bound",
         failures,
@@ -351,7 +345,7 @@ def check_unboundedness_witnesses() -> CheckResult:
 
 def check_subdivided_triangle_family() -> CheckResult:
     try:
-        report = gprime_experiment(3, pattern_order=12)
+        report = gprime_experiment(3)
     except ContradictionError as exc:
         return CheckResult("subdivided-triangle-family", False, str(exc))
     detail = ", ".join(f"t={r.t}: fvs={r.fvs} cfvs={r.cfvs}" for r in report.rows)
@@ -363,13 +357,12 @@ def check_subdivided_triangle_family() -> CheckResult:
 def check_connected_domination_bound() -> CheckResult:
     failures = []
     total = 0
-    for n in range(1, 8):
-        for g in enumerate_connected(n):
-            total += 1
-            ds = min_ds(g).optimum
-            cds = min_cds(g).optimum
-            if cds > 3 * ds - 2:
-                failures.append(f"n={n}: cds {cds} > 3*ds({ds})-2")
+    for g in enumerate_connected_upto(7):
+        total += 1
+        ds = min_ds(g).optimum
+        cds = min_cds(g).optimum
+        if cds > 3 * ds - 2:
+            failures.append(f"n={g.n}: cds {cds} > 3*ds({ds})-2")
     return _result(
         "connected-domination-bound",
         failures,
