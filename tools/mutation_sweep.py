@@ -10,8 +10,7 @@ reported as stale, so the list cannot silently drift from the code.
 Usage, from anywhere (stdlib only; pytest and the test dependencies must
 be importable)::
 
-    python tools/mutation_sweep.py            # every mutant
-    python tools/mutation_sweep.py sp3-middle-count max-order-check
+    python tools/mutation_sweep.py
 
 The exit status is 1 when a mutant not listed in ``EQUIVALENT`` survives,
 or when a mutant is stale.
@@ -117,23 +116,18 @@ def run_mutant(name: str, scratch: Path) -> tuple[str, str]:
     return "killed", failed[0] if failed else f"pytest exit {proc.returncode}"
 
 
-def main(argv: list[str]) -> int:
-    names = argv or list(MUTANTS)
-    unknown = [n for n in names if n not in MUTANTS]
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     verdicts = {}
     with tempfile.TemporaryDirectory(prefix="mutation-sweep-") as tmp:
-        for name in names:
+        for name in MUTANTS:
             start = time.perf_counter()
             verdict, detail = run_mutant(name, Path(tmp))
             verdicts[name] = verdict
             took = time.perf_counter() - start
             print(f"{verdict:8} {name:20} {took:6.1f} s  {detail}", flush=True)
     killed = sum(v == "killed" for v in verdicts.values())
-    print(f"killed {killed} of {len(names)}")
-    for name in names:
+    print(f"killed {killed} of {len(MUTANTS)}")
+    for name in MUTANTS:
         if verdicts[name] == "survived" and name in EQUIVALENT:
             print(f"equivalent: {name}: {EQUIVALENT[name]}")
     bad = [n for n, v in verdicts.items() if v == "stale" or (v == "survived" and n not in EQUIVALENT)]
@@ -141,4 +135,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
