@@ -20,7 +20,7 @@ from pocfvs import (
     tadpole,
 )
 from pocfvs.graph import iter_bits
-from pocfvs.harness import enumerate_connected
+from pocfvs.harness import enumerate_connected, enumerate_connected_upto
 from pocfvs.solvers import (
     _cfvs_walk,
     fvs_and_cfvs,
@@ -282,8 +282,8 @@ BUTTERFLY_STRATA = [
 ]
 
 
-def _walk_corpus():
-    """Relabelled butterflies of every stratum, L_1..L_3 and K_{3,l} for l = 3..8."""
+def _walk_corpus(ell_max=8):
+    """Relabelled butterflies of every stratum, L_1..L_3 and K_{3,l} for l = 3..ell_max."""
     rng = random.Random(0)
 
     def relabel(g):
@@ -296,7 +296,7 @@ def _walk_corpus():
         i = rng.randint(3, n - k - 2)
         out.append(relabel(butterfly(i, n - k + 1 - i, k)))
     out += [relabel(hourglass_chain(k)) for k in (1, 2, 3)]
-    out += [relabel(complete_bipartite(3, ell)) for ell in range(3, 9)]
+    out += [relabel(complete_bipartite(3, ell)) for ell in range(3, ell_max + 1)]
     return out
 
 
@@ -323,6 +323,27 @@ def test_cfvs_walks_are_byte_stable_on_large_witness_graphs():
         "fvs_and_cfvs": _digest(_fvs_and_cfvs_row(g) for g in corpus),
     }
     assert digests == WALK_DIGESTS
+
+
+# sha256 of min_fvs's (optimum, sorted witness, explored) on every connected
+# graph with n <= 8 and on the query mix's witness graphs (K_{3,l} up to
+# l = 15), as the reference implementation returned them
+MIN_FVS_DIGESTS = {
+    "connected n<=8": "c509e780e61150fbc576179c92f7ee21271ed1d0b53a2239e34d01cd9d879726",
+    "witness graphs": "b1ec2fea124a5df7896e0736e1231fb8733b0bddf6072f2485e346f18201b7e7",
+}
+
+
+def test_min_fvs_is_byte_stable_up_to_8_and_on_large_witness_graphs():
+    corpus = enumerate_connected_upto(8)
+    assert len(corpus) == 12113
+    witnesses = _walk_corpus(15)
+    assert [g.n for g in witnesses[-13:]] == list(range(6, 19))
+    digests = {
+        "connected n<=8": _solver_digest(min_fvs(g) for g in corpus),
+        "witness graphs": _solver_digest(min_fvs(g) for g in witnesses),
+    }
+    assert digests == MIN_FVS_DIGESTS
 
 
 @st.composite
