@@ -461,3 +461,25 @@ def normalize_min_fvs(g, limit: int | None = None):
         "no minimum feedback vertex set with all vertices of degree >= 3 on cycles; "
         f"graph n={g.n} edges={g.edges()}"
     )
+
+
+def orbit_minima_by_closure(n: int, perms) -> list[int]:
+    """The nonempty masks on ``n`` vertices least in their orbit under ``perms``.
+
+    The generators are closed into the whole group, identity included, and
+    a mask is kept when no element of the group maps it below itself.
+    """
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for p in perms:
+            y = tuple(p[v] for v in x)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+
+    def image(g, s):
+        return sum(1 << g[v] for v in range(n) if s >> v & 1)
+
+    return [s for s in range(1, 1 << n) if all(image(g, s) >= s for g in group)]

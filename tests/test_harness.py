@@ -25,11 +25,12 @@ from pocfvs.harness import (
     enumerate_connected,
     enumerate_connected_upto,
     evaluate_graphs,
+    _orbit_minima,
     max_poc,
     tetrachotomy_classify,
     unboundedness_witnesses,
 )
-from pocfvs.iso import are_isomorphic, canonical_form, is_free
+from pocfvs.iso import _search, are_isomorphic, canonical_form, is_free
 from pocfvs.solvers import min_cfvs, min_fvs
 
 from _oracles import (
@@ -37,6 +38,7 @@ from _oracles import (
     edge_set,
     enumerate_all_graphs,
     is_cycle_graph,
+    orbit_minima_by_closure,
     perm_isomorphic,
     reachable,
     tetrachotomy_by_hosts,
@@ -222,6 +224,16 @@ def test_evaluate_graphs_names_relabelled_graphs_canonically():
     expected = max_poc(EnumerationSpec(n_max=7))
     report = evaluate_graphs(copies, expected.spec)
     assert report.to_json(None) == expected.to_json(None)
+
+
+def test_orbit_minima_match_the_group_closure():
+    # the growth extends each parent by these masks, so a wrong minimum
+    # drops or repeats a class; n <= 7 holds every parent of level 8
+    assert _orbit_minima(3, []) == orbit_minima_by_closure(3, []) == list(range(1, 8))
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            perms = _search(g._masks)[2]
+            assert _orbit_minima(n, perms) == orbit_minima_by_closure(n, perms), g.edges()
 
 
 def test_enumeration_limits():
