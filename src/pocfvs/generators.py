@@ -232,8 +232,11 @@ def _parse_atom(text: str) -> FamilySpec:
         name = _ALIASES.get(name, name)
         if name not in _FAMILIES:
             raise InvalidInputError(f"unknown family {name!r}")
+        fields = [p.strip() for p in raw.replace(";", ",").split(",") if p.strip()]
         try:
-            params = tuple(int(p) for p in raw.replace(";", ",").split(",") if p.strip())
+            params = tuple(_spec_int(p) if p.isdecimal() else int(p) for p in fields)
+        except InvalidInputError:  # a ValueError; a digit run too long for int()
+            raise
         except ValueError:
             raise InvalidInputError(f"non-integer parameter in spec {text!r}") from None
         return FamilySpec(name, params)

@@ -128,8 +128,21 @@ class Graph:
         order = tuple(order)
         if sorted(order) != list(range(self.n)):
             raise InvalidInputError("relabel order must be a permutation of the vertices")
-        pos = {v: i for i, v in enumerate(order)}
-        return Graph(self.n, ((pos[u], pos[v]) for u, v in self.edges()))
+        pos = [0] * self.n
+        for i, v in enumerate(order):
+            pos[v] = i
+        masks = self._masks
+        relabelled = (sum(1 << pos[w] for w in iter_bits(masks[v])) for v in order)
+        return Graph._from_masks(tuple(relabelled))
+
+    @classmethod
+    def _from_masks(cls, masks: tuple[int, ...]) -> "Graph":
+        """The graph with these adjacency masks, taken as valid: symmetric, loop-free, in range."""
+        g = object.__new__(cls)
+        g.n = len(masks)
+        g._masks = masks
+        g._m = sum(m.bit_count() for m in masks) // 2
+        return g
 
     def vertex_mask(self, s: Iterable[int]) -> int:
         """Bitmask of the vertex set ``s``; anything but a vertex is an input error."""

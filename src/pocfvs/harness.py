@@ -6,7 +6,11 @@ vertex to a nonempty neighborhood. A parent is extended only by the
 neighborhoods least in their orbit under its automorphisms, and candidates
 are deduplicated on their canonical code, keeping the first of each class.
 That candidate survives the pruning: a smaller automorphic image of its
-neighborhood would give an isomorphic candidate generated earlier. This
+neighborhood would give an isomorphic candidate generated earlier. The
+orbit minima come from one union-find per parent: each generator's image
+table is built once and each mask is joined to its images, the least mask
+staying root. A kept candidate's grown masks are the representative, and
+relabelled by the order its search found, its canonical form. This
 growth runs once per order, and its levels are cached for the lifetime of
 the process, keyed by the order alone; the experiment drivers lean on that
 cache heavily. The cache maps each representative to its canonical form,
@@ -28,7 +32,7 @@ from .constructive import p5sp1_constant, sp3_constant
 from .cover import ClassificationResult, family_covers_all, structure_profile
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
-from .graph import Graph, iter_bits
+from .graph import Graph
 from .iso import _search, canonical_form, free_filter
 from .solvers import fvs_and_cfvs
 
@@ -72,39 +76,51 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
         if n == 1:
             _LEVEL_CACHE[n] = {Graph(1): Graph(1)}
         else:
-            # code -> (parent, neighbourhood of the new vertex, canonical order)
-            seen: dict[int, tuple[Graph, int, tuple[int, ...]]] = {}
+            # code -> (masks of the first candidate with it, its canonical order)
+            seen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
             base = n - 1
             for g in enumerate_connected(base):
                 masks = g._masks
                 for extra in _orbit_minima(base, _search(masks)[2]):
-                    grown = [m | 1 << base if extra >> v & 1 else m for v, m in enumerate(masks)]
-                    code, order, _ = _search((*grown, extra))
-                    seen.setdefault(code, (g, extra, order))
+                    grown = (
+                        *(m | 1 << base if extra >> v & 1 else m for v, m in enumerate(masks)),
+                        extra,
+                    )
+                    code, order, _ = _search(grown)
+                    seen.setdefault(code, (grown, order))
             level = {}
-            for g, extra, order in seen.values():
-                h = Graph(n, g.edges() + tuple((v, base) for v in iter_bits(extra)))
+            for grown, order in seen.values():
+                h = Graph._from_masks(grown)
                 level[h] = h.relabel(order)  # the order _search found on h's masks
             _LEVEL_CACHE[n] = dict(sorted(level.items(), key=lambda item: item[1].edges()))
     return list(_LEVEL_CACHE[n])
 
 
 def _orbit_minima(n: int, perms) -> list[int]:
-    """The nonempty masks on ``n`` vertices that are least in their orbit under ``perms``."""
-    seen: set[int] = set()
-    out = []
-    for s in range(1, 1 << n):  # ascending, so each orbit is first met at its least mask
-        if s in seen:
-            continue
-        out.append(s)
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            images = {sum(1 << p[v] for v in iter_bits(x)) for p in perms} - seen
-            seen |= images
-            stack += images
-    return out
+    """The nonempty masks on ``n`` vertices that are least in their orbit under ``perms``.
+
+    Each generator's image table is built once, and every mask is joined
+    to its images; a union keeps the lesser root, so each orbit's root is
+    its least mask.
+    """
+    if not perms:
+        return list(range(1, 1 << n))
+    root = list(range(1 << n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for p in perms:
+        image = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << p[low.bit_length() - 1]
+        for s, t in enumerate(image):
+            a, b = find(s), find(t)
+            root[max(a, b)] = min(a, b)
+    return [s for s in range(1, 1 << n) if root[s] == s]
 
 
 def enumerate_connected_upto(n_max: int, forbidden=()) -> list[Graph]:

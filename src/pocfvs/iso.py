@@ -15,6 +15,11 @@ bitmasks, pruned by the automorphisms it finds (McKay and Piperno,
 order with the least adjacency code is the canonical form, and equal forms
 characterize isomorphism. Pruning skips only branches that are images of
 explored ones, so the least code is that of the exhaustive search.
+Refinement takes shortcuts that keep its partitions: a round with one
+splitter cell counts neighbours with one popcount, a singleton splitter
+{u} cuts each cell with two mask ANDs, and a cell whose vertices all count
+alike stays whole unsorted. When the root's degree split is already
+discrete, it is the only leaf, and the search returns it at once.
 """
 
 from __future__ import annotations
@@ -148,12 +153,26 @@ def _refine(masks: tuple[int, ...], cells: list[int], split: list[int]) -> list[
     A round splits each cell by its vertices' neighbour counts into the
     cells in ``split``, in partition order, and orders the pieces by those
     counts. Counts into other cells are constant within a cell: cells not
-    split in the round before, and the last piece of a split cell.
+    split in the round before, and the last piece of a split cell. A round
+    with one splitter counts with one popcount, and a singleton splitter
+    {u} splits a cell into its non-neighbours and then its neighbours of u.
     """
     width = len(masks).bit_length()
     while split:
         out: list[int] = []
         pieces: list[int] = []
+        if len(split) == 1 and not split[0] & (split[0] - 1):
+            m = masks[split[0].bit_length() - 1]
+            for cell in cells:
+                low, high = cell & ~m, cell & m
+                if low and high:
+                    out += (low, high)
+                    pieces.append(low)
+                else:
+                    out.append(cell)
+            cells, split = out, pieces
+            continue
+        one = split[0] if len(split) == 1 else 0
         for cell in cells:
             if not cell & (cell - 1):
                 out.append(cell)
@@ -164,10 +183,16 @@ def _refine(masks: tuple[int, ...], cells: list[int], split: list[int]) -> list[
                 low = rest & -rest
                 rest ^= low
                 m = masks[low.bit_length() - 1]
-                sig = 0
-                for s in split:
-                    sig = sig << width | (m & s).bit_count()
+                if one:
+                    sig = (m & one).bit_count()
+                else:
+                    sig = 0
+                    for s in split:
+                        sig = sig << width | (m & s).bit_count()
                 buckets[sig] = buckets.get(sig, 0) | low
+            if len(buckets) == 1:
+                out.append(cell)
+                continue
             new = [buckets[sig] for sig in sorted(buckets)]
             out += new
             pieces += new[:-1]
@@ -191,11 +216,7 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
 
     def leaf(cells: list[int], path: tuple[int, ...]) -> int:
         order = tuple(c.bit_length() - 1 for c in cells)
-        code = 0
-        for i, v in enumerate(order):
-            m = masks[v]
-            for w in order[i + 1 :]:
-                code = code << 1 | m >> w & 1
+        code = _code(masks, order)
         if not leaves:
             leaves[:] = [(code, order, path)] * 2
         for known, known_order, known_path in leaves:
@@ -230,9 +251,23 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
         return len(path)
 
     full = (1 << n) - 1
-    visit(_refine(masks, [full] if n else [], [full]), ())
+    root = _refine(masks, [full], [full]) if n else []
+    if len(root) == n:  # a discrete root is the only leaf; no automorphism
+        order = tuple(c.bit_length() - 1 for c in root)
+        return _code(masks, order), order, auts
+    visit(root, ())
     code, order, _ = leaves[1]
     return code, order, auts
+
+
+def _code(masks: tuple[int, ...], order: tuple[int, ...]) -> int:
+    """Upper-triangle adjacency bits of the graph relabelled by ``order``, row by row."""
+    code = 0
+    for i, v in enumerate(order):
+        m = masks[v]
+        for w in order[i + 1 :]:
+            code = code << 1 | m >> w & 1
+    return code
 
 
 def canonical_form(g: Graph) -> Graph:

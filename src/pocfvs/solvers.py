@@ -4,7 +4,8 @@ These are the ground-truth oracles of the package, so every solver is an
 exhaustive search whose optimality follows from its search order alone:
 
 * ``min_fvs`` deepens on the solution size and branches on the vertices of
-  a shortest cycle (every feedback vertex set must hit every cycle).
+  a shortest cycle (every feedback vertex set must hit every cycle). A
+  node with no budget left only asks whether its mask is a forest.
 * ``min_cfvs``, ``min_ds`` and ``min_cds`` all run the one subset search,
   :func:`first_subset`: candidate vertex sets in increasing cardinality,
   lexicographically within a size, and the first feasible one wins. The
@@ -142,7 +143,11 @@ def shortest_cycle(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
 
 
 def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
-    """Minimum feedback vertex set by iterative deepening with cycle branching."""
+    """Minimum feedback vertex set by iterative deepening with cycle branching.
+
+    A leaf, a node with no budget left, tests only whether its mask is
+    acyclic; no such mask was ever expanded, so none has a cached cycle.
+    """
     _guard(g, limit)
     explored = 0
     cycle_cache: dict[int, tuple[int, ...] | None] = {}
@@ -156,10 +161,12 @@ def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
     def search(mask: int, budget: int) -> list[int] | None:
         nonlocal explored
         explored += 1
+        if not budget:
+            return [] if g.mask_is_acyclic(mask) else None
         cyc = cycle_of(mask)
         if cyc is None:
             return []
-        if budget == 0 or (mask, budget) in failed:
+        if (mask, budget) in failed:
             return None
         for v in cyc:
             sub = search(mask & ~(1 << v), budget - 1)

@@ -195,6 +195,7 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("solve", "P" + "9" * 5000),
         ("solve", "9" * 5000 + "P3"),
         ("solve", "9" * 5000 + "*claw"),
+        ("solve", "butterfly:3,3," + "9" * 4301),
         ("connectify", "kbip:3,4", "--method", "sp3", "--trace", str(tmp_path / "no" / "t.json")),
         ("explore", "--n-max", "3", "--out", str(tmp_path / "no" / "r.json")),
         ("classify", "C3", "--witnesses", "-5"),
@@ -202,6 +203,7 @@ def test_input_error_exit_code(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("input error") and err.count("\n") == 1, argv
+        assert len(err) < 200, argv
 
 
 def test_resource_limit_exit_code(capsys):

@@ -78,6 +78,18 @@ MUTANTS = {
         "if len(deg2) > 4 * s_param + 1:",
     ),
     "max-order-check": ("graph.py", "if n > MAX_ORDER:", "if n > MAX_ORDER + 1:"),
+    "singleton-split-order": ("iso.py", "out += (low, high)", "out += (high, low)"),
+    "discrete-root": ("iso.py", "if len(root) == n:", "if len(root) >= n - 1:"),
+    "orbit-union-root": (
+        "harness.py",
+        "root[max(a, b)] = min(a, b)",
+        "root[min(a, b)] = max(a, b)",
+    ),
+    "fvs-leaf-forest": (
+        "solvers.py",
+        "return [] if g.mask_is_acyclic(mask) else None",
+        "return [] if g.mask_is_acyclic(mask & mask - 1) else None",
+    ),
 }
 
 # mutants no test can kill, and why
