@@ -222,7 +222,8 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error as a one-line input error."""
 
     def error(self, message):
-        raise InvalidInputError(f"{self.prog}: {message}")
+        # argparse echoes arguments as given, newlines included
+        raise InvalidInputError(f"{self.prog}: {message}".replace("\n", "\\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:
