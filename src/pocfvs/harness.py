@@ -101,10 +101,8 @@ def _orbit_minima(n: int, perms) -> list[int]:
 
     Each generator's image table is built once, and every mask is joined
     to its images; a union keeps the lesser root, so each orbit's root is
-    its least mask.
+    its least mask. With no generator every mask is its own root.
     """
-    if not perms:
-        return list(range(1, 1 << n))
     root = list(range(1 << n))
 
     def find(x: int) -> int:
