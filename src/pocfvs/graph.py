@@ -206,11 +206,22 @@ class Graph:
         return self.mask_component(start, mask) == mask
 
     def mask_edge_count(self, mask: int) -> int:
-        return sum((self._masks[v] & mask).bit_count() for v in iter_bits(mask)) // 2
+        masks = self._masks
+        ends = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ends += (masks[low.bit_length() - 1] & mask).bit_count()
+        return ends // 2
 
     def mask_is_acyclic(self, mask: int) -> bool:
-        # a graph is a forest iff edges = vertices - components
-        return self.mask_edge_count(mask) == mask.bit_count() - len(self.mask_components(mask))
+        # a graph is a forest iff edges = vertices - components, so one with
+        # as many edges as vertices never is
+        edges, order = self.mask_edge_count(mask), mask.bit_count()
+        if edges >= order:
+            return not edges
+        return edges == order - len(self.mask_components(mask))
 
     def is_connected(self) -> bool:
         """True for exactly one component; the empty graph counts as disconnected."""

@@ -229,9 +229,9 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
 
     def visit(cells: list[int], path: tuple[int, ...]) -> int:
         """Explore a node; return the depth the search resumes at."""
-        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
-        if target is None:
+        if len(cells) == n:
             return leaf(cells, path)
+        target = next(i for i, c in enumerate(cells) if c & (c - 1))
         cell = cells[target]
         explored = 0
         for v in iter_bits(cell):

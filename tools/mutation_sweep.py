@@ -85,6 +85,7 @@ MUTANTS = {
         "root[max(a, b)] = min(a, b)",
         "root[min(a, b)] = max(a, b)",
     ),
+    "acyclic-edge-precheck": ("graph.py", "if edges >= order:", "if edges >= order - 1:"),
     "fvs-leaf-forest": (
         "solvers.py",
         "return [] if g.mask_is_acyclic(mask) else None",
