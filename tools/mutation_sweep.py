@@ -85,6 +85,11 @@ MUTANTS = {
         "root[max(a, b)] = min(a, b)",
         "root[min(a, b)] = max(a, b)",
     ),
+    "level-sort-key": (
+        "harness.py",
+        "bytes(top - i for i in reversed([*iter_bits(c)]))",
+        "bytes(top - i for i in iter_bits(c))",
+    ),
     "acyclic-edge-precheck": ("graph.py", "if edges >= order:", "if edges >= order - 1:"),
     "fvs-leaf-forest": (
         "solvers.py",
