@@ -91,7 +91,7 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
                     code, order, _ = _search(grown)
                     seen.setdefault(code, (grown, order))
             # bytes of the code's set positions from the top sort as the forms'
-            # edge lists do; the edge lists themselves took 12 MB at n = 8
+            # edge lists do, without building those lists
             top = n * (n - 1) // 2 - 1
             level = {}
             for code in sorted(seen, key=lambda c: bytes(top - i for i in reversed([*iter_bits(c)]))):

@@ -18,7 +18,7 @@ explored ones, so the least code is that of the exhaustive search.
 Refinement takes shortcuts that keep its partitions: a round with one
 splitter cell counts neighbours with one popcount, a singleton splitter
 {u} cuts each cell with two mask ANDs, and a cell whose vertices all count
-alike stays whole unsorted. When the root's degree split is already
+alike stays whole unsorted. When the refined root partition is already
 discrete, it is the only leaf, and the search returns it at once.
 """
 

@@ -146,7 +146,8 @@ def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
     """Minimum feedback vertex set by iterative deepening with cycle branching.
 
     A leaf, a node with no budget left, tests only whether its mask is
-    acyclic; no such mask was ever expanded, so none has a cached cycle.
+    acyclic. A leaf of round k lies k deep, with n - k vertices, a size no
+    earlier round reaches, so no leaf's mask has a cached cycle.
     """
     _guard(g, limit)
     explored = 0
