@@ -20,7 +20,9 @@ from pocfvs import (
 )
 from pocfvs.cover import LINEAR_FOREST, structure_profile
 from pocfvs.harness import enumerate_connected
+from pocfvs.verification import oracle_catalog
 from pocfvs.iso import (
+    _Pattern,
     _search,
     are_isomorphic,
     canonical_form,
@@ -204,6 +206,25 @@ def test_matching_determinism():
     first = find_induced_embedding(claw(), host)
     second = find_induced_embedding(claw(), host)
     assert first == second
+
+
+# sha256 of the sorted embedding (or null) that the compiled matcher finds
+# for each oracle-catalog pattern and 2P_3 in every connected graph with
+# n <= 7, as the matcher without the twin bound found them
+MATCHER_DIGEST = "85b2ceaf9253a2dffbdba0179e3c130489b7d56e98cb07ca1a3af85b5d61fb96"
+
+
+def test_matcher_embeddings_are_byte_stable():
+    patterns = [h for _, h in oracle_catalog()] + [2 * path(3)]
+    hosts = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    h = hashlib.sha256()
+    for p in patterns:
+        compiled = _Pattern(p)
+        for g in hosts:
+            phi = compiled.find(g)
+            h.update(json.dumps(None if phi is None else sorted(phi.items())).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == MATCHER_DIGEST
 
 
 def _petersen():
