@@ -7,7 +7,12 @@ already-matched vertices, so both edges and non-edges of the pattern are
 preserved (induced semantics). A pattern compiles once into its matching
 order and per-position constraint lists; callers that test one pattern or
 family against many hosts hold the compiled form (``free_filter``), so
-only the host-dependent degree masks are built per host.
+only the host-dependent degree masks are built per host. Twins are
+vertices with the same neighbours apart from each other. A pattern vertex
+is matched only above the image of its latest earlier twin: swapping the
+images of two pattern twins gives another embedding, so the least
+embedding, the one the search returns, already lists twin images in
+increasing order.
 
 Canonical forms come from one search over the refinement tree on cell
 bitmasks, pruned by the automorphisms it finds (McKay and Piperno,
@@ -19,7 +24,9 @@ Refinement takes shortcuts that keep its partitions: a round with one
 splitter cell counts neighbours with one popcount, a singleton splitter
 {u} cuts each cell with two mask ANDs, and a cell whose vertices all count
 alike stays whole unsorted. When the refined root partition is already
-discrete, it is the only leaf, and the search returns it at once.
+discrete, it is the only leaf, and the search returns it at once. When
+every cell of it is a twin class, the search returns at once too, with
+each cell in ascending order and the transpositions of twins as the group.
 """
 
 from __future__ import annotations
@@ -49,11 +56,12 @@ def _matching_order(pattern: Graph) -> tuple[int, ...]:
 class _Pattern:
     """A pattern compiled once for induced matching against many hosts.
 
-    Holds the matching order, the pattern degree at each position, and the
-    earlier positions each position must be adjacent and non-adjacent to.
+    Holds the matching order, the pattern degree at each position, the
+    earlier positions each position must be adjacent and non-adjacent to,
+    and the latest earlier position holding a twin of it (-1 if none).
     """
 
-    __slots__ = ("n", "edge_count", "order", "degrees", "adj", "non_adj")
+    __slots__ = ("n", "edge_count", "order", "degrees", "adj", "non_adj", "twin")
 
     def __init__(self, pattern: Graph):
         self.n, self.edge_count = pattern.n, pattern.edge_count
@@ -64,6 +72,14 @@ class _Pattern:
         )
         self.non_adj = tuple(
             tuple(j for j in range(i) if not pattern.has_edge(p, order[j]))
+            for i, p in enumerate(order)
+        )
+        masks = pattern._masks
+        self.twin = tuple(
+            max(
+                (j for j in range(i) if masks[p] & ~(1 << order[j]) == masks[order[j]] & ~(1 << p)),
+                default=-1,
+            )
             for i, p in enumerate(order)
         )
 
@@ -81,13 +97,15 @@ class _Pattern:
             for d in set(self.degrees)
         }
         feasible = [by_degree[d] for d in self.degrees]
-        adj, non_adj = self.adj, self.non_adj
+        adj, non_adj, twin = self.adj, self.non_adj, self.twin
         assignment = [0] * n
 
         def extend(idx: int, used: int) -> bool:
             if idx == n:
                 return True
             cands = feasible[idx] & ~used
+            if twin[idx] >= 0:  # above the image of the latest earlier twin
+                cands &= -(2 << assignment[twin[idx]])
             for j in adj[idx]:
                 cands &= masks[assignment[j]]
                 if not cands:
@@ -209,6 +227,17 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
     and sends the search back to where the two paths part; a child in the
     orbit of an explored sibling under the automorphisms fixing the path is
     skipped. The automorphisms returned generate the automorphism group.
+
+    When every vertex of each root cell is a twin of its cell's least
+    vertex u (``masks[u]`` and ``masks[v]`` agree off ``{u, v}``), no leaf
+    is visited. Such a cell cannot hold both an adjacent and a
+    non-adjacent twin of u, so it is one twin class. Individualising a twin
+    splits no cell, since twins see every other vertex alike, so the first
+    leaf lists each cell in ascending order. Every other leaf is its image
+    under twin swaps and has the same code, so the search would return
+    this first leaf. The partition is invariant under automorphisms, so
+    the group is the product of each cell's symmetric group, and the
+    transpositions (u v) generate it.
     """
     n = len(masks)
     auts: list[tuple[int, ...]] = []
@@ -254,6 +283,16 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
     root = _refine(masks, [full], [full]) if n else []
     if len(root) == n:  # a discrete root is the only leaf; no automorphism
         order = tuple(c.bit_length() - 1 for c in root)
+        return _code(masks, order), order, auts
+    # each vertex of a cell with its cell's least vertex; when all are twins,
+    # every cell is a twin class and the first leaf lists each cell ascending
+    pairs = [((c & -c).bit_length() - 1, v) for c in root for v in iter_bits(c & (c - 1))]
+    if all(masks[u] & ~(1 << v) == masks[v] & ~(1 << u) for u, v in pairs):
+        order = tuple(v for c in root for v in iter_bits(c))
+        for u, v in pairs:
+            p = list(range(n))
+            p[u], p[v] = v, u
+            auts.append(tuple(p))
         return _code(masks, order), order, auts
     visit(root, ())
     code, order, _ = leaves[1]

@@ -19,6 +19,7 @@ from pocfvs import (
     tadpole,
 )
 from pocfvs.cover import LINEAR_FOREST, structure_profile
+from pocfvs import iso
 from pocfvs.harness import enumerate_connected
 from pocfvs.verification import oracle_catalog
 from pocfvs.iso import (
@@ -165,30 +166,40 @@ def test_complete_graph_canonicalization_is_fast():
     assert canonical_form(k8) == k8
 
 
-def test_search_automorphisms_generate_the_group():
+def test_search_automorphisms_generate_the_group(monkeypatch):
     # a wrong automorphism would let the enumeration's orbit pruning drop a
     # class, so every permutation is checked and the group it generates is
     # counted against networkx's isomorphism enumeration
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    for n in range(1, 8):
-        for g in enumerate_connected(n):
-            auts = _search(g._masks)[2]
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [g for n in range(1, 7) for g in enumerate_all_graphs(n)]
+    symmetric = [complete_bipartite(3, 3), 3 * cycle(3), 2 * _complete(4), complete_bipartite(1, 8)]
+    refines = []
+    refine = iso._refine
+    monkeypatch.setattr(iso, "_refine", lambda *args: refines.append(1) or refine(*args))
+    # the twin exit refines the root alone and returns transpositions
+    exits = set()
+    for g in graphs + symmetric:
+        refines.clear()
+        auts = _search(g._masks)[2]
+        exits.add("twins" if len(refines) == 1 and auts else "other")
+        for p in auts:
+            assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges()]) == g
+        group = {tuple(range(g.n))}
+        frontier = list(group)
+        while frontier:
+            x = frontier.pop()
             for p in auts:
-                assert Graph(g.n, [(p[u], p[v]) for u, v in g.edges()]) == g
-            group = {tuple(range(g.n))}
-            frontier = list(group)
-            while frontier:
-                x = frontier.pop()
-                for p in auts:
-                    y = tuple(p[v] for v in x)
-                    if y not in group:
-                        group.add(y)
-                        frontier.append(y)
-            G = nx.Graph(g.edges())
-            G.add_nodes_from(range(g.n))
-            assert len(group) == sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter()), g.edges()
+                y = tuple(p[v] for v in x)
+                if y not in group:
+                    group.add(y)
+                    frontier.append(y)
+        G = nx.Graph(g.edges())
+        G.add_nodes_from(range(g.n))
+        assert len(group) == sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter()), g.edges()
+    assert exits == {"twins", "other"}
 
 
 def test_symmetric_graphs_canonicalise_quickly():
