@@ -181,7 +181,7 @@ def from_spec(spec: FamilySpec) -> Graph:
     try:
         build, arity = _FAMILIES[spec.family]
     except KeyError:
-        raise InvalidInputError(f"unknown family {spec.family!r}") from None
+        raise InvalidInputError(f"unknown family {_shown(spec.family)}") from None
     if arity is not None and len(spec.params) != arity:
         raise InvalidInputError(
             f"family {spec.family!r} takes {arity} parameters, got {len(spec.params)}"
@@ -205,6 +205,14 @@ _ALIASES = {
 
 _COMPACT = re.compile(r"^(\d*)\s*([pc])\s*(\d+)$", re.IGNORECASE)
 _PREFIXED = re.compile(r"^(\d+)\s*[*x]?\s*\(?(.*?)\)?$")
+
+
+def _shown(text: str) -> str:
+    """``text`` quoted for an error message; a long one is cut to a prefix and its length."""
+    quoted = repr(text)
+    if len(quoted) <= 32:
+        return quoted
+    return f"{quoted[:30]}... ({len(text)} characters)"
 
 
 def _spec_int(digits: str) -> int:
@@ -231,14 +239,14 @@ def _parse_atom(text: str) -> FamilySpec:
         name = name.strip().lower()
         name = _ALIASES.get(name, name)
         if name not in _FAMILIES:
-            raise InvalidInputError(f"unknown family {name!r}")
+            raise InvalidInputError(f"unknown family {_shown(name)}")
         fields = [p.strip() for p in raw.replace(";", ",").split(",") if p.strip()]
         try:
             params = tuple(_spec_int(p) if p.isdecimal() else int(p) for p in fields)
         except InvalidInputError:  # a ValueError; a digit run too long for int()
             raise
         except ValueError:
-            raise InvalidInputError(f"non-integer parameter in spec {text!r}") from None
+            raise InvalidInputError(f"non-integer parameter in spec {_shown(text)}") from None
         return FamilySpec(name, params)
     m = _PREFIXED.match(text)
     if m and m.group(1) and m.group(2):
@@ -246,7 +254,7 @@ def _parse_atom(text: str) -> FamilySpec:
     name = _ALIASES.get(text.lower(), text.lower())
     if name in _FAMILIES and _FAMILIES[name][1] == 0:
         return FamilySpec(name)
-    raise InvalidInputError(f"cannot parse graph spec {text!r}")
+    raise InvalidInputError(f"cannot parse graph spec {_shown(text)}")
 
 
 def parse_spec(text: str) -> FamilySpec:
@@ -257,7 +265,7 @@ def parse_spec(text: str) -> FamilySpec:
     """
     parts = [p for p in text.split("+") if p.strip()]
     if not parts:
-        raise InvalidInputError(f"cannot parse graph spec {text!r}")
+        raise InvalidInputError(f"cannot parse graph spec {_shown(text)}")
     atoms = tuple(_parse_atom(p) for p in parts)
     if len(atoms) == 1:
         return atoms[0]
@@ -280,4 +288,4 @@ def parse_spec_list(text: str) -> tuple[FamilySpec, ...]:
                 return tuple(parse_spec(p) for p in text.split(sep) if p.strip())
             except InvalidInputError:
                 continue
-    raise InvalidInputError(f"cannot parse spec list {text!r}")
+    raise InvalidInputError(f"cannot parse spec list {_shown(text)}")

@@ -196,6 +196,10 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("solve", "9" * 5000 + "P3"),
         ("solve", "9" * 5000 + "*claw"),
         ("solve", "butterfly:3,3," + "9" * 4301),
+        ("solve", "butterfly:3,3,-" + "9" * 4301),
+        ("solve", "P3+" + "9" * 4301),
+        ("solve", "x" * 5000 + ":1"),
+        ("classify-family", "x" * 5000 + ";P3"),
         ("solve", "claw", "g6:\n"),
         ("connectify", "kbip:3,4", "--method", "sp3", "--trace", str(tmp_path / "no" / "t.json")),
         ("explore", "--n-max", "3", "--out", str(tmp_path / "no" / "r.json")),
