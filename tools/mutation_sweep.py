@@ -80,6 +80,18 @@ MUTANTS = {
     "max-order-check": ("graph.py", "if n > MAX_ORDER:", "if n > MAX_ORDER + 1:"),
     "singleton-split-order": ("iso.py", "out += (low, high)", "out += (high, low)"),
     "discrete-root": ("iso.py", "if len(root) == n:", "if len(root) >= n - 1:"),
+    "twin-exit-test": (
+        "iso.py",
+        "if all(masks[u] & ~(1 << v) == masks[v] & ~(1 << u) for u, v in pairs):",
+        "if any(masks[u] & ~(1 << v) == masks[v] & ~(1 << u) for u, v in pairs):",
+    ),
+    "twin-transposition": ("iso.py", "p[u], p[v] = v, u", "p[u], p[v] = u, v"),
+    "matcher-twin-bound": (
+        "iso.py",
+        "cands &= -(2 << assignment[twin[idx]])",
+        "cands &= (1 << assignment[twin[idx]]) - 1",
+    ),
+    "spec-echo-cut": ("generators.py", "if len(quoted) <= 32:", "if len(quoted) <= 32000:"),
     "orbit-union-root": (
         "harness.py",
         "root[max(a, b)] = min(a, b)",
