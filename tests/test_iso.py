@@ -21,7 +21,6 @@ from pocfvs import (
 from pocfvs.cover import LINEAR_FOREST, structure_profile
 from pocfvs import iso
 from pocfvs.harness import enumerate_connected
-from pocfvs.verification import oracle_catalog
 from pocfvs.iso import (
     _Pattern,
     _search,
@@ -31,6 +30,7 @@ from pocfvs.iso import (
     find_induced_embedding,
     is_free,
 )
+from pocfvs.verification import oracle_catalog
 
 from _oracles import enumerate_all_graphs, is_linear_forest, perm_isomorphic, subset_embedding_exists
 
@@ -178,7 +178,12 @@ def test_search_automorphisms_generate_the_group(monkeypatch):
     symmetric = [complete_bipartite(3, 3), 3 * cycle(3), 2 * _complete(4), complete_bipartite(1, 8)]
     refines = []
     refine = iso._refine
-    monkeypatch.setattr(iso, "_refine", lambda *args: refines.append(1) or refine(*args))
+
+    def counted_refine(*args):
+        refines.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(iso, "_refine", counted_refine)
     # the twin exit refines the root alone and returns transpositions
     exits = set()
     for g in graphs + symmetric:
