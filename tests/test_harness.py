@@ -414,6 +414,28 @@ def test_graph6_roundtrip():
         assert decode(encode(g)) == g
 
 
+def _nx_graph(nx, g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def test_graph6_matches_networkx():
+    # independent oracle: networkx writes and reads graph6 with its own
+    # code; the canonical forms are the graphs every report names
+    nx = pytest.importorskip("networkx")
+    forms = [canonical_form(g) for g in enumerate_connected_upto(8)]
+    assert len(forms) == 12113
+    for g in [*forms, path(62)]:
+        line = encode(g)
+        assert line.encode() + b"\n" == nx.to_graph6_bytes(_nx_graph(nx, g), header=False)
+        back = nx.from_graph6_bytes(line.encode())
+        assert decode(line) == Graph(back.number_of_nodes(), back.edges()) == g
+    with pytest.raises(InvalidInputError):
+        encode(path(63))
+
+
 def test_graph6_header_and_errors(tmp_path):
     assert decode(">>graph6<<Bw") == cycle(3)
     with pytest.raises(InvalidInputError):
