@@ -3,33 +3,41 @@
 Standard encoding: one graph per line, vertex count in the first byte
 (value + 63), then the upper triangle of the adjacency matrix in column
 order, six bits per printable byte. Only orders up to 62 are supported,
-which covers everything this package enumerates.
+which covers everything this package enumerates. Every line is written by
+``from_code`` from the adjacency bits listed row by row, as canonical codes are.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import InvalidInputError
 from .graph import Graph
+from .iso import _code
 
 HEADER = ">>graph6<<"
+_COLUMNS: dict[int, tuple[int, ...]] = {}  # n -> each pair's bit in a row-by-row code, by column
 
 
 def encode(g: Graph) -> str:
     if g.n > 62:
         raise InvalidInputError(f"graph6 support here stops at 62 vertices, got {g.n}")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+    return from_code(g.n, _code(g._masks, tuple(range(g.n))))
+
+
+def from_code(n: int, code: int) -> str:
+    """graph6 of the graph on ``n`` <= 62 vertices whose ``iso._code`` is ``code``."""
+    columns = _COLUMNS.get(n)
+    if columns is None:
+        # the code lists the pairs row by row, its first pair in the top bit
+        bit = {pair: k for k, pair in enumerate(reversed([*combinations(range(n), 2)]))}
+        columns = _COLUMNS[n] = tuple(bit[i, j] for j in range(1, n) for i in range(j))
+    body = 0
+    for p in columns:
+        body = body << 1 | code >> p & 1
+    size = (len(columns) + 5) // 6  # bytes; the last one is padded with zero bits
+    body <<= 6 * size - len(columns)
+    return chr(n + 63) + "".join(chr((body >> 6 * k & 63) + 63) for k in reversed(range(size)))
 
 
 def decode(line: str) -> Graph:

@@ -9,15 +9,14 @@ That candidate survives the pruning: a smaller automorphic image of its
 neighborhood would give an isomorphic candidate generated earlier. The
 orbit minima come from one union-find per parent: each generator's image
 table is built once and each mask is joined to its images, the least mask
-staying root. A kept candidate's grown masks are the representative, and
-relabelled by the order its search found, its canonical form. This
-growth runs once per order, and its levels are cached for the lifetime of
-the process, keyed by the order alone; the experiment drivers lean on that
-cache heavily. The cache maps each representative to its canonical form,
-which the growth has the order for anyway, so ``evaluate_graphs`` names a
-level graph without a second canonical search. A level is sorted on the
-canonical codes alone: read from the top, a code's set bits are the
-form's edges in edge-list order. A forbidden family
+staying root. A kept candidate's grown masks are the representative.
+This growth runs once per order, and its levels are cached for the
+lifetime of the process, keyed by the order alone; the experiment drivers
+lean on that cache heavily. The cache maps each representative to its
+canonical code, so ``evaluate_graphs`` names a level graph without a
+second canonical search: a graph's name is the graph6 of its code. A
+level is sorted on the codes alone: read from the top, a code's set bits
+are the canonical form's edges in edge-list order. A forbidden family
 is applied by filtering the cached level. Because freeness is hereditary,
 that keeps exactly the representatives a growth restricted to free graphs
 would find.
@@ -35,13 +34,13 @@ from .cover import ClassificationResult, family_covers_all, structure_profile
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
-from .iso import _search, canonical_form, free_filter
+from .iso import _search, free_filter
 from .solvers import fvs_and_cfvs
 
 MAX_ENUMERATION_ORDER = 8
 
-# order -> {representative: its canonical form}, in level order
-_LEVEL_CACHE: dict[int, dict[Graph, Graph]] = {}
+# order -> {representative: its canonical code}, in level order
+_LEVEL_CACHE: dict[int, dict[Graph, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,10 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
         return [g for g in enumerate_connected(n) if free(g)]
     if n not in _LEVEL_CACHE:
         if n == 1:
-            _LEVEL_CACHE[n] = {Graph(1): Graph(1)}
+            _LEVEL_CACHE[n] = {Graph(1): 0}
         else:
-            # code -> (masks of the first candidate with it, its canonical order)
-            seen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+            # code -> masks of the first candidate with it
+            seen: dict[int, tuple[int, ...]] = {}
             base = n - 1
             for g in enumerate_connected(base):
                 masks = g._masks
@@ -88,17 +87,12 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
                         *(m | 1 << base if extra >> v & 1 else m for v, m in enumerate(masks)),
                         extra,
                     )
-                    code, order, _ = _search(grown)
-                    seen.setdefault(code, (grown, order))
+                    seen.setdefault(_search(grown)[0], grown)
             # bytes of the code's set positions from the top sort as the forms'
             # edge lists do, without building those lists
             top = n * (n - 1) // 2 - 1
-            level = {}
-            for code in sorted(seen, key=lambda c: bytes(top - i for i in reversed([*iter_bits(c)]))):
-                grown, order = seen[code]
-                h = Graph._from_masks(grown)
-                level[h] = h.relabel(order)  # the order _search found on h's masks
-            _LEVEL_CACHE[n] = level
+            codes = sorted(seen, key=lambda c: bytes(top - i for i in reversed([*iter_bits(c)])))
+            _LEVEL_CACHE[n] = {Graph._from_masks(seen[code]): code for code in codes}
     return list(_LEVEL_CACHE[n])
 
 
@@ -222,16 +216,16 @@ class ExperimentReport:
 def evaluate_graphs(graphs, spec_label: str, limit: int | None = None) -> ExperimentReport:
     """Exact fvs and cfvs of each connected graph, keyed by canonical graph6.
 
-    A graph the level cache holds takes its cached canonical form; any
-    other graph is canonicalised here.
+    A graph the level cache holds takes its cached canonical code; any
+    other graph is searched here.
     """
     report = ExperimentReport(spec=spec_label)
     for g in graphs:
         if not g.is_connected():
             continue
         f, c = fvs_and_cfvs(g, limit)
-        form = _LEVEL_CACHE.get(g.n, {}).get(g)
-        gid = graph6.encode(canonical_form(g) if form is None else form)
+        code = _LEVEL_CACHE.get(g.n, {}).get(g)
+        gid = graph6.from_code(g.n, _search(g._masks)[0] if code is None else code)
         ratio = Fraction(c, f) if f > 0 else None
         report.records.append(GraphRecord(gid, g.n, f, c, ratio, c - f))
     report.records.sort(key=lambda r: (r.order, r.graph_id))

@@ -195,17 +195,20 @@ def test_level_cache_holds_each_canonical_form():
         enumerate_connected(n)
         level = harness._LEVEL_CACHE[n]
         assert list(level) == enumerate_connected(n)
-        for h, form in level.items():
-            assert form == canonical_form(h)
+        for h, code in level.items():
+            assert code == _search(h._masks)[0]
+            assert g6mod.from_code(n, code) == encode(canonical_form(h))
 
 
 def test_max_poc_takes_level_forms_from_the_cache(monkeypatch):
     from pocfvs import harness
 
-    def no_search(g):
-        raise AssertionError("a level graph was canonicalised again")
+    def no_search(masks):
+        raise AssertionError("a level graph was searched again")
 
-    monkeypatch.setattr(harness, "canonical_form", no_search)
+    for n in range(1, 7):
+        enumerate_connected(n)
+    monkeypatch.setattr(harness, "_search", no_search)
     assert len(max_poc(EnumerationSpec(n_max=6, forbidden=(claw(),))).records) == 73
 
 
