@@ -9,6 +9,8 @@ searches build the library's generators and run its matcher, and
 ``normalize_min_fvs`` states a claim of the paper with the library's
 solvers, and ``plain_cfvs_walk`` accepts with the library's mask tests,
 since what it checks is the order and the count of the walk.
+``as_networkx`` only hands a graph to networkx, whose own algorithms are
+the oracle there.
 """
 
 from __future__ import annotations
@@ -19,6 +21,16 @@ from itertools import combinations, permutations
 
 def edge_set(g) -> set[tuple[int, int]]:
     return {(u, v) for u, v in g.edges()}
+
+
+def as_networkx(g):
+    """``g`` as a networkx graph on the nodes 0..n-1, added in order, for networkx's oracles."""
+    import networkx as nx
+
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
 
 
 def dfs_is_acyclic(n: int, edges: set[tuple[int, int]], keep=None) -> bool:

@@ -13,11 +13,19 @@ from pocfvs import (
     hourglass_chain,
     path,
 )
-from pocfvs.graph import MAX_ORDER
+from pocfvs.graph import MAX_ORDER, iter_bits
+from pocfvs.harness import enumerate_connected_upto
 from pocfvs.iso import are_isomorphic
 from pocfvs.solvers import is_fvs
 
-from _oracles import dfs_is_acyclic, edge_set, floyd_warshall, reachable, vertices_with_degree
+from _oracles import (
+    as_networkx,
+    dfs_is_acyclic,
+    edge_set,
+    floyd_warshall,
+    reachable,
+    vertices_with_degree,
+)
 
 
 def random_graph(rng, n, p=0.4):
@@ -105,6 +113,16 @@ def test_acyclicity_basics():
     assert path(7).is_acyclic()
     assert not cycle(3).is_acyclic()
     assert Graph(0).is_acyclic()
+
+
+def test_mask_is_acyclic_matches_networkx_on_every_mask():
+    # independent oracle: networkx's forest test on each induced subgraph
+    nx = pytest.importorskip("networkx")
+    for g in enumerate_connected_upto(6):
+        whole = as_networkx(g)
+        for mask in range(1, 1 << g.n):  # networkx refuses the empty graph
+            assert g.mask_is_acyclic(mask) == nx.is_forest(whole.subgraph(iter_bits(mask)))
+    assert path(3).mask_is_acyclic(0)
 
 
 def test_butterfly_minus_hubs_is_acyclic():

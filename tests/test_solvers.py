@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from pocfvs.solvers import (
 )
 
 from _oracles import (
+    as_networkx,
     is_cycle_graph,
     lies_on_cycle,
     naive_min_cds,
@@ -118,6 +120,27 @@ def test_shortest_cycle():
     assert len(shortest_cycle(cycle(9))) == 9
     b = butterfly(4, 5, 2)
     assert len(shortest_cycle(b)) == 4
+
+
+def test_shortest_cycle_matches_networkx_girth():
+    # independent oracle: networkx's girth, inf on a forest
+    nx = pytest.importorskip("networkx")
+    graphs = enumerate_connected_upto(7)
+    assert len(graphs) == 996
+    for g in graphs:
+        found = shortest_cycle(g)
+        assert (math.inf if found is None else len(found)) == nx.girth(as_networkx(g)), g.edges()
+
+
+def test_domination_witnesses_match_networkx():
+    # independent oracle: networkx's own (connected) domination tests
+    nx = pytest.importorskip("networkx")
+    for g in enumerate_connected_upto(7):
+        whole = as_networkx(g)
+        ds, cds = min_ds(g), min_cds(g)
+        assert len(ds.witness) == ds.optimum and nx.is_dominating_set(whole, ds.witness)
+        assert len(cds.witness) == cds.optimum
+        assert nx.is_connected_dominating_set(whole, cds.witness), g.edges()
 
 
 def test_lies_on_cycle():
