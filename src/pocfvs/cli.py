@@ -28,7 +28,7 @@ from .cover import (
     structure_profile,
 )
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
-from .generators import graph_from_text, parse_spec_list, from_spec
+from .generators import _shown, graph_from_text, parse_spec_list, from_spec
 from .graph import Graph
 from .iso import free_filter
 from .harness import (
@@ -108,7 +108,8 @@ def _cmd_table(args) -> int:
     try:
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise InvalidInputError(f"--range must look like 3..12, got {args.range!r}") from None
+        got = _shown(args.range)
+        raise InvalidInputError(f"--range must look like 3..12, got {got}") from None
     profile = structure_profile(h)
     table = render_pair_table(pairs_for_profile(profile), lo, hi)
     print(f"profile: {profile.describe()}")
@@ -221,9 +222,25 @@ def _cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error as a one-line input error."""
 
+    given: list[str] = []  # the arguments this parser was last handed
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.given = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
-        # argparse echoes arguments as given, newlines included
-        raise InvalidInputError(f"{self.prog}: {message}".replace("\n", "\\n"))
+        # argparse echoes an argument, or what follows an option's "=", bare or
+        # quoted, newlines included. Each long one is cut, the longest first,
+        # and then argparse's list of choices goes: a cut argument is no near miss.
+        texts = {text for arg in self.given for text in (arg, arg.partition("=")[2])}
+        shown = message
+        for text in sorted(texts, key=len, reverse=True):
+            cut = _shown(text)
+            if cut != repr(text):
+                shown = shown.replace(repr(text), cut).replace(text, cut)
+        if shown != message:
+            shown = shown.split(" (choose from ")[0]
+        raise InvalidInputError(f"{self.prog}: {shown}".replace("\n", "\\n"))
 
 
 def build_parser() -> argparse.ArgumentParser:
