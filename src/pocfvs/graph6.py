@@ -26,7 +26,9 @@ def encode(g: Graph) -> str:
 
 
 def from_code(n: int, code: int) -> str:
-    """graph6 of the graph on ``n`` <= 62 vertices whose ``iso._code`` is ``code``."""
+    """graph6 of the graph on ``n`` vertices whose ``iso._code`` is ``code``."""
+    if n > 62:
+        raise InvalidInputError(f"graph6 support here stops at 62 vertices, got {n}")
     columns = _COLUMNS.get(n)
     if columns is None:
         # the code lists the pairs row by row, its first pair in the top bit

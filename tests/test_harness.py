@@ -446,6 +446,8 @@ def test_graph6_header_and_errors(tmp_path):
         decode("B~")  # non-zero padding bits
     with pytest.raises(InvalidInputError):
         encode(Graph(63))
+    with pytest.raises(InvalidInputError):
+        g6mod.from_code(63, 0)
     corpus = tmp_path / "graphs.g6"
     corpus.write_text(">>graph6<<\n" + encode(cycle(4)) + "\n" + encode(path(2)) + "\n")
     graphs = read_file(str(corpus))
