@@ -222,10 +222,10 @@ def _cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a usage error as a one-line input error."""
 
-    given: list[str] = []  # the arguments this parser was last handed
+    given: tuple[str, ...] = ()  # the arguments this parser was last handed
 
     def parse_known_args(self, args=None, namespace=None):
-        self.given = sys.argv[1:] if args is None else list(args)
+        self.given = tuple(sys.argv[1:] if args is None else args)
         return super().parse_known_args(args, namespace)
 
     def error(self, message):

@@ -203,6 +203,7 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("x" * 5000,),
         ("table", "P6", "--range", "x" * 5000),
         ("solve", "P3", "--bogus" + "x" * 5000),
+        ("solve", "P3", "--json=" + "x" * 5000),
         ("solve", "claw", "g6:\n"),
         ("connectify", "kbip:3,4", "--method", "sp3", "--trace", str(tmp_path / "no" / "t.json")),
         ("explore", "--n-max", "3", "--out", str(tmp_path / "no" / "r.json")),
