@@ -92,6 +92,27 @@ MUTANTS = {
         "cands &= (1 << assignment[twin[idx]]) - 1",
     ),
     "spec-echo-cut": ("generators.py", "if len(quoted) <= 32:", "if len(quoted) <= 32000:"),
+    "usage-echo-bare": (
+        "cli.py",
+        "shown = shown.replace(repr(text), cut).replace(text, cut)",
+        "shown = shown.replace(repr(text), cut)",
+    ),
+    "usage-echo-option-value": (
+        "cli.py",
+        'for text in (arg, arg.partition("=")[2])}',
+        "for text in (arg,)}",
+    ),
+    "usage-choices-kept": (
+        "cli.py",
+        'shown = shown.split(" (choose from ")[0]',
+        "shown = shown",
+    ),
+    "range-echo-cut": ("cli.py", "got = _shown(args.range)", "got = repr(args.range)"),
+    "graph6-row-order": (
+        "graph6.py",
+        "tuple(bit[i, j] for j in range(1, n) for i in range(j))",
+        "tuple(bit[i, j] for i in range(n) for j in range(i + 1, n))",
+    ),
     "orbit-union-root": (
         "harness.py",
         "root[max(a, b)] = min(a, b)",
