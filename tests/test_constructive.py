@@ -23,7 +23,7 @@ from pocfvs.constructive import (
     move_step,
 )
 from pocfvs.graph6 import decode
-from pocfvs.harness import enumerate_connected
+from pocfvs.harness import enumerate_connected, enumerate_connected_upto
 from pocfvs.iso import find_induced_embedding, is_free
 from pocfvs.solvers import is_cfvs, is_fvs, min_fvs
 
@@ -353,6 +353,17 @@ def test_sp3_traces_are_byte_stable():
     assert _trace_digest((g, s) for g in corpus for s in (2, 3)) == CORPUS_TRACE_DIGEST
     pinned = SWAP_CASES + SECOND_COVER_CASES + ABSORB_CASES
     assert _trace_digest((decode(code), s) for code, s in pinned) == PINNED_TRACE_DIGEST
+
+
+# sha256 of the s = 2 traces on every connected 2P_3-free graph with n <= 8,
+# the corpus the 2P_3-free verification criterion runs
+CRITERION_TRACE_DIGEST = "f3fcc27bbb994003d4eb4eb4c745a3349ea4515cce30c8b9b490f26a58e23aa1"
+
+
+def test_sp3_criterion_corpus_traces_are_byte_stable():
+    corpus = enumerate_connected_upto(8, forbidden=(2 * path(3),))
+    assert len(corpus) == 11420
+    assert _trace_digest((g, 2) for g in corpus) == CRITERION_TRACE_DIGEST
 
 
 # sha256 of the connectify_p5sp1 traces at s = 0 and 1 on every connected
