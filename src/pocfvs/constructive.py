@@ -21,10 +21,11 @@ guarantees the pipeline relies on is false.
 
 Public entry points check their preconditions and raise
 ``InvalidInputError`` when one fails. The private cores behind them
-(``_move_step``, ``_sp3_pipeline``) trust their callers and check none of
-them again, but keep every certificate. The cores hold vertex sets as
-bitmasks, built by ``Graph.vertex_mask`` as everywhere in the package;
-results leave as frozensets and traces record sorted tuples.
+(``_move_step``, ``_connectify_sp3``, ``_sp3_pipeline``) trust their
+callers and check none of them again, but keep every certificate. The
+cores hold vertex sets as bitmasks, built by ``Graph.vertex_mask`` as
+everywhere in the package; results leave as frozensets. Traces hold the
+masks as given, and their views sort them into tuples when read.
 
 Internal exhaustive minima (covering subsets, smallest dominating cliques)
 run the solvers' one subset search, ``first_subset``: the bounds require
@@ -34,14 +35,14 @@ true minimality and the package only targets desk-scale inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ContradictionError, InvalidInputError
 from .generators import path
 from .graph import Graph, iter_bits
 from .iso import _Pattern, find_induced_embedding, is_free
-from .solvers import SolveResult, first_subset, is_cfvs, is_fvs, min_cds, min_fvs
+from .solvers import SolveResult, first_subset, is_cfvs, min_cds, min_fvs
 
 
 @dataclass
@@ -51,30 +52,52 @@ class TraceStep:
     note: str = ""
 
 
-@dataclass
 class ProcedureTrace:
-    """Step-by-step audit record of one constructive run."""
+    """Step-by-step audit record of one constructive run.
 
-    procedure: str
-    graph_order: int
-    steps: list[TraceStep] = field(default_factory=list)
-    swaps: list[dict] = field(default_factory=list)
-    fvs_checkpoints: list[tuple[int, ...]] = field(default_factory=list)
-    claimed_bound: int | None = None
-    result: tuple[int, ...] = ()
+    Every set is given and held as a vertex mask. The ``steps``,
+    ``fvs_checkpoints`` and ``result`` views, and ``to_dict``, sort the
+    masks into tuples when they are read.
+    """
 
-    def record(self, stage: str, note: str = "", **sets) -> None:
-        self.steps.append(
-            TraceStep(stage, {name: tuple(sorted(vs)) for name, vs in sets.items()}, note)
-        )
+    def __init__(self, procedure: str, graph_order: int) -> None:
+        self.procedure = procedure
+        self.graph_order = graph_order
+        self.swaps: list[dict] = []
+        self.claimed_bound: int | None = None
+        self._steps: list[tuple[str, dict[str, int], str]] = []
+        self._checkpoints: list[int] = []
+        self._result = 0
 
-    def checkpoint(self, g: Graph, s, stage: str) -> None:
+    @property
+    def steps(self) -> list[TraceStep]:
+        return [
+            TraceStep(stage, {name: tuple(iter_bits(m)) for name, m in sets.items()}, note)
+            for stage, sets, note in self._steps
+        ]
+
+    @property
+    def fvs_checkpoints(self) -> list[tuple[int, ...]]:
+        return [tuple(iter_bits(m)) for m in self._checkpoints]
+
+    @property
+    def result(self) -> tuple[int, ...]:
+        return tuple(iter_bits(self._result))
+
+    def record(self, stage: str, note: str = "", **sets: int) -> None:
+        self._steps.append((stage, sets, note))
+
+    def checkpoint(self, g: Graph, mask: int, stage: str) -> None:
         """Record an intermediate set and verify it is still an FVS."""
-        s = tuple(sorted(s))
-        if not is_fvs(g, s):
+        if not g.mask_is_acyclic(g.full_mask & ~mask):
             raise ContradictionError(f"{self.procedure}/{stage}: intermediate set is not an FVS")
-        self.fvs_checkpoints.append(s)
-        self.record(stage, note="fvs checkpoint", current=s)
+        self._checkpoints.append(mask)
+        self.record(stage, note="fvs checkpoint", current=mask)
+
+    def extend(self, other: ProcedureTrace) -> None:
+        """Append the steps and checkpoints of ``other``, a run nested in this one."""
+        self._steps.extend(other._steps)
+        self._checkpoints.extend(other._checkpoints)
 
     def record_swap(self, g: Graph, removed: int, added: int) -> None:
         if g.closed_mask(removed) & ~g.closed_mask(added):
@@ -86,12 +109,12 @@ class ProcedureTrace:
             {"removed": removed, "added": added, "closed_neighborhood_contained": True}
         )
 
-    def finish(self, result, claimed_bound: int) -> None:
-        self.result = tuple(sorted(result))
+    def finish(self, mask: int, claimed_bound: int) -> None:
+        self._result = mask
         self.claimed_bound = claimed_bound
-        if len(self.result) > claimed_bound:
+        if mask.bit_count() > claimed_bound:
             raise ContradictionError(
-                f"{self.procedure}: result size {len(self.result)} exceeds "
+                f"{self.procedure}: result size {mask.bit_count()} exceeds "
                 f"certified bound {claimed_bound}"
             )
 
@@ -131,29 +154,29 @@ def connectify_by_paths(g: Graph, s) -> tuple[frozenset[int], ProcedureTrace]:
         raise InvalidInputError("the seed set is not a feedback vertex set")
     if not seed:
         trace.record("trivial", note="empty seed set")
-        trace.finish((), 0)
+        trace.finish(0, 0)
         return frozenset(), trace
     members = tuple(iter_bits(seed))
     anchor = members[0]
     diam = g.diameter()
     bound = len(members) + (len(members) - 1) * max(0, diam - 1)
-    trace.record("seed", anchor=(anchor,), seed=members)
-    out = set(members)
+    trace.record("seed", anchor=1 << anchor, seed=seed)
+    out = seed
     for y in members[1:]:
-        route = g.shortest_path(anchor, y)
-        out.update(route[1:-1])
+        route = g.vertex_mask(g.shortest_path(anchor, y))
+        out |= route
         trace.record("join", note=f"anchor to {y}", path=route)
     trace.checkpoint(g, out, "joined")
-    if not is_cfvs(g, out):
+    if not is_cfvs(g, iter_bits(out)):
         raise ContradictionError("path union failed to connect the seed set")
     trace.finish(out, bound)
-    return frozenset(out), trace
+    return frozenset(iter_bits(out)), trace
 
 
 # -- dominating-set connectification -----------------------------------------
 
 
-def _smallest_clique_or_p3_dominating(g: Graph) -> tuple[int, ...] | None:
+def _smallest_clique_or_p3_dominating(g: Graph) -> int | None:
     """Smallest dominating set inducing a complete graph or a 3-vertex path."""
     full = g.full_mask
 
@@ -164,8 +187,7 @@ def _smallest_clique_or_p3_dominating(g: Graph) -> tuple[int, ...] | None:
         # three vertices with two edges always induce a path
         return edges == k * (k - 1) // 2 or (k == 3 and edges == 2)
 
-    m, _ = first_subset(full, accept, start=1)
-    return None if m is None else tuple(iter_bits(m))
+    return first_subset(full, accept, start=1)[0]
 
 
 def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTrace]:
@@ -189,10 +211,10 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
         )
     if g.is_acyclic():
         trace.record("trivial", note="acyclic input")
-        trace.finish((), 0)
+        trace.finish(0, 0)
         return frozenset(), trace
     fvs_res = min_fvs(g)
-    f = set(fvs_res.witness)
+    f = g.vertex_mask(fvs_res.witness)
     trace.record("minimum-fvs", seed=f)
     p5_hit = find_induced_embedding(path(5), g)
     if p5_hit is None:
@@ -203,37 +225,36 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
                 "clique or dominating 3-vertex path"
             )
         trace.record("dominating-core", core=dom, note="clique or P_3 dominating set")
-        out = f | set(dom)
+        out = f | dom
         bound = fvs_res.optimum + p5sp1_constant(0)
     else:
         if s_param < 1:
             raise ContradictionError("a P_5 was found in a graph verified P_5-free")
         p5_mask = g.vertex_mask(p5_hit.values())
-        indep: list[int] = []
-        taken = 0
+        indep = 0
         for v in iter_bits(g.full_mask & ~(p5_mask | g.mask_reach(p5_mask))):
-            if not (g.mask(v) & taken):
-                indep.append(v)
-                taken |= 1 << v
-        trace.record("p5-and-independents", p5=iter_bits(p5_mask), independent=indep)
-        if len(indep) > s_param - 1:
+            if not (g.mask(v) & indep):
+                indep |= 1 << v
+        trace.record("p5-and-independents", p5=p5_mask, independent=indep)
+        if indep.bit_count() > s_param - 1:
             raise ContradictionError(
                 f"maximal independent set outside the P_5 neighborhood has "
-                f"{len(indep)} vertices, exceeding {s_param - 1}"
+                f"{indep.bit_count()} vertices, exceeding {s_param - 1}"
             )
         cds = min_cds(g)
-        if cds.optimum > 3 * (5 + len(indep)) - 2:
+        if cds.optimum > 3 * (5 + indep.bit_count()) - 2:
             raise ContradictionError(
                 "connected domination exceeded three times domination minus two"
             )
-        trace.record("dominating-core", core=cds.witness)
-        out = f | set(cds.witness)
+        core = g.vertex_mask(cds.witness)
+        trace.record("dominating-core", core=core)
+        out = f | core
         bound = fvs_res.optimum + p5sp1_constant(s_param)
     trace.checkpoint(g, out, "fvs-plus-core")
-    if not is_cfvs(g, out):
+    if not is_cfvs(g, iter_bits(out)):
         raise ContradictionError("the dominating core failed to connect the set")
     trace.finish(out, bound)
-    return frozenset(out), trace
+    return frozenset(iter_bits(out)), trace
 
 
 # -- the move step and the s*P_3 pipeline -------------------------------------
@@ -314,14 +335,14 @@ def _move_step(
         # sets grown from an FVS seed stay FVSs; only then is the
         # checkpoint meaningful
         if seed_is_fvs:
-            trace.checkpoint(g, iter_bits(s_cur), stage)
+            trace.checkpoint(g, s_cur, stage)
         else:
-            trace.record(stage, current=iter_bits(s_cur))
+            trace.record(stage, current=s_cur)
 
     u_reach = g.mask_reach(u_mask)
     comps_a = [c for c in g.mask_components(s_mask) if c != z_mask and c & u_reach]
     # components are disjoint, so their sum is their union
-    trace.record("collect", z=iter_bits(z_mask), u=iter_bits(u_mask), a=iter_bits(sum(comps_a)))
+    trace.record("collect", z=z_mask, u=u_mask, a=sum(comps_a))
     if comps_a:
         u1 = _min_cover(g, u_mask, comps_a)
         # a private component of u is adjacent to no other cover vertex
@@ -344,7 +365,7 @@ def _move_step(
                     "a vertex adjacent to two component layers must reach the hub component"
                 )
         s_cur |= u2
-        trace.record("move-u2", u1=iter_bits(u1), u2=iter_bits(u2))
+        trace.record("move-u2", u1=u1, u2=u2)
         note_growth("after-u2")
 
         remaining = [c for c in comps_a if not c & g.mask_reach(u2)]
@@ -383,7 +404,7 @@ def _move_step(
                 f"relay set has {w_set.bit_count()} vertices; at most {s_param - 1} are possible"
             )
         s_cur |= w_set
-        trace.record("move-w", u3=iter_bits(u3), u4=iter_bits(u4), w=iter_bits(w_set))
+        trace.record("move-w", u3=u3, u4=u4, w=w_set)
         note_growth("after-w")
     else:
         trace.record("noop", note="no outside component touches u")
@@ -405,8 +426,8 @@ def _move_step(
     for c in side:
         if sum(1 for u in iter_bits(u_left) if g.mask(u) & c) > 1:
             raise ContradictionError("an outside component still touches two u-vertices")
-    trace.record("done", result=iter_bits(s_cur))
-    trace.finish(iter_bits(s_cur), s_mask.bit_count() + 2 * s_param - 2)
+    trace.record("done", result=s_cur)
+    trace.finish(s_cur, s_mask.bit_count() + 2 * s_param - 2)
     return s_cur, trace
 
 
@@ -440,7 +461,12 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
         raise InvalidInputError("connectification needs a connected graph")
     if _p3_copies(s_param).find(g) is not None:
         raise InvalidInputError(f"input contains an induced {s_param}*P_3")
-    trace = ProcedureTrace("connectify-sp3", g.n)
+    return _connectify_sp3(g, s_param)
+
+
+def _connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTrace]:
+    """Core of :func:`connectify_sp3`; trusts its caller: ``s_param`` >= 1,
+    and ``g`` is connected with no induced s*P_3."""
     level, hit = s_param, None
     while level > 1:
         hit = _p3_copies(level - 1).find(g)
@@ -448,22 +474,22 @@ def connectify_sp3(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureTra
             break
         level -= 1
     fvs_res = min_fvs(g)
+    trace = ProcedureTrace("connectify-sp3", g.n)
     if level == 1:
         if not g.is_complete():
             raise ContradictionError("a connected graph with no induced P_3 must be complete")
-        out = frozenset(range(g.n - 2)) if g.n >= 3 else frozenset()
-        if len(out) != fvs_res.optimum or not is_cfvs(g, out):
+        out = (1 << (g.n - 2)) - 1 if g.n >= 3 else 0
+        if out.bit_count() != fvs_res.optimum or not is_cfvs(g, iter_bits(out)):
             raise ContradictionError("the first n-2 vertices of a complete graph "
                                      "must form a minimum connected FVS")
         trace.record("complete", result=out)
     else:
-        out = frozenset(iter_bits(_sp3_pipeline(g, level, hit, fvs_res, trace)))
-    trace.steps[:0] = [
-        TraceStep("recurse", {"result": tuple(sorted(out))}, f"input avoids {t - 1}*P_3")
-        for t in range(s_param, level, -1)
+        out = _sp3_pipeline(g, level, hit, fvs_res, trace)
+    trace._steps[:0] = [
+        ("recurse", {"result": out}, f"input avoids {t - 1}*P_3") for t in range(s_param, level, -1)
     ]
     trace.finish(out, fvs_res.optimum + sp3_constant(s_param))
-    return out, trace
+    return frozenset(iter_bits(out)), trace
 
 
 def _sp3_pipeline(
@@ -484,48 +510,45 @@ def _sp3_pipeline(
         raise ContradictionError("the scaffold outgrew its certified size")
     if not g.mask_is_connected(scaffold):
         raise ContradictionError("the scaffold failed to connect")
-    trace.record("scaffold", middles=middles, scaffold=iter_bits(scaffold))
+    trace.record("scaffold", middles=g.vertex_mask(middles), scaffold=scaffold)
 
     s_cur = g.vertex_mask(fvs_res.witness) | scaffold
-    trace.checkpoint(g, iter_bits(s_cur), "seed-plus-scaffold")
+    trace.checkpoint(g, s_cur, "seed-plus-scaffold")
 
     mask = g.full_mask & ~s_cur
-    deg3 = [v for v in iter_bits(mask) if (g.mask(v) & mask).bit_count() >= 3]
-    if len(deg3) > 4 * s_param * s_param:
+    deg3 = sum(1 << v for v in iter_bits(mask) if (g.mask(v) & mask).bit_count() >= 3)
+    if deg3.bit_count() > 4 * s_param * s_param:
         raise ContradictionError("too many branch vertices outside the set")
-    s_cur |= g.vertex_mask(deg3)
+    s_cur |= deg3
     trace.record("absorb-branch", absorbed=deg3)
-    trace.checkpoint(g, iter_bits(s_cur), "after-branch")
+    trace.checkpoint(g, s_cur, "after-branch")
 
     mask = g.full_mask & ~s_cur
-    deg2 = [v for v in iter_bits(mask) if (g.mask(v) & mask).bit_count() == 2]
-    if len(deg2) > 4 * s_param:
+    deg2 = sum(1 << v for v in iter_bits(mask) if (g.mask(v) & mask).bit_count() == 2)
+    if deg2.bit_count() > 4 * s_param:
         raise ContradictionError("too many middle vertices outside the set")
-    s_cur |= g.vertex_mask(deg2)
+    s_cur |= deg2
     trace.record("absorb-middle", absorbed=deg2)
-    trace.checkpoint(g, iter_bits(s_cur), "after-middle")
+    trace.checkpoint(g, s_cur, "after-middle")
 
-    u1: list[int] = []
-    u2: list[int] = []
+    u1 = u2 = 0
     for comp in g.mask_components(g.full_mask & ~s_cur):
-        ends = list(iter_bits(comp))
-        if len(ends) > 2:
+        if comp.bit_count() > 2:
             raise ContradictionError("outside components must be single vertices or edges")
         # a single vertex goes to u2; an edge splits across both halves
-        u1.extend(ends[:-1])
-        u2.append(ends[-1])
+        top = 1 << (comp.bit_length() - 1)
+        u1 |= comp ^ top
+        u2 |= top
     trace.record("halves", u1=u1, u2=u2)
 
-    for name, uset in (("u1", u1), ("u2", u2)):
+    for name, u_mask in (("u1", u1), ("u2", u2)):
         z_now = _component_of(g, s_cur, anchor)
         # s_cur was checkpointed as an FVS, and supersets of an FVS are FVSs
-        moved, sub = _move_step(g, s_cur, z_now, g.vertex_mask(uset), s_param, True)
-        added = iter_bits(moved & ~s_cur)
+        moved, sub = _move_step(g, s_cur, z_now, u_mask, s_param, True)
+        trace.extend(sub)
+        trace.record(f"move-{name}", added=moved & ~s_cur)
         s_cur = moved
-        trace.steps.extend(sub.steps)
-        trace.fvs_checkpoints.extend(sub.fvs_checkpoints)
-        trace.record(f"move-{name}", added=added)
-    trace.checkpoint(g, iter_bits(s_cur), "after-moves")
+    trace.checkpoint(g, s_cur, "after-moves")
 
     # absorb every outside component that still contains a 3-vertex path;
     # a connected graph is P_3-free exactly when it is complete
@@ -542,8 +565,8 @@ def _sp3_pipeline(
         if absorbed > s_param - 1:
             raise ContradictionError("too many path-bearing outside components")
         s_cur |= comp
-        trace.record("absorb-outside", component=iter_bits(comp), added=iter_bits(fresh))
-    trace.checkpoint(g, iter_bits(s_cur), "after-absorb")
+        trace.record("absorb-outside", component=comp, added=fresh)
+    trace.checkpoint(g, s_cur, "after-absorb")
 
     claimed = fvs_res.optimum + sp3_constant(s_param)
     if s_cur.bit_count() > claimed:
@@ -567,10 +590,10 @@ def _sp3_pipeline(
         y = gate[0]
         trace.record_swap(g, x_candidate, y)
         s_cur = (s_cur & ~(1 << x_candidate)) | (1 << y)
-        trace.checkpoint(g, iter_bits(s_cur), f"after-swap-{x_candidate}-{y}")
+        trace.checkpoint(g, s_cur, f"after-swap-{x_candidate}-{y}")
         if len(g.mask_components(s_cur)) >= len(comps):
             raise ContradictionError("a swap failed to reduce the component count")
     if not is_cfvs(g, iter_bits(s_cur)):
         raise ContradictionError("the pipeline did not produce a connected FVS")
-    trace.record("done", result=iter_bits(s_cur))
+    trace.record("done", result=s_cur)
     return s_cur

@@ -29,7 +29,7 @@ from .generators import (
 from .graph import Graph
 from .harness import enumerate_connected_upto, gprime_experiment, tetrachotomy_classify
 from .iso import is_free
-from .constructive import connectify_by_paths, connectify_p5sp1, connectify_sp3, sp3_constant
+from .constructive import _connectify_sp3, connectify_by_paths, connectify_p5sp1, sp3_constant
 from .solvers import is_cfvs, is_fvs, min_cds, min_cfvs, min_ds, min_fvs
 
 
@@ -262,9 +262,10 @@ def check_p5_free_bound() -> CheckResult:
 def check_2p3_free_bound() -> CheckResult:
     failures = []
     total = 0
+    # the filter has already checked connectify_sp3's preconditions
     for g in enumerate_connected_upto(8, forbidden=(2 * path(3),)):
         total += 1
-        result, trace = connectify_sp3(g, 2)
+        result, trace = _connectify_sp3(g, 2)
         # the pipeline's certified bound is its minimum fvs plus the constant
         f = trace.claimed_bound - sp3_constant(2)
         if not is_cfvs(g, result):

@@ -16,6 +16,7 @@ from pocfvs import (
 )
 from pocfvs.constructive import (
     ProcedureTrace,
+    _connectify_sp3,
     _sp3_pipeline,
     connectify_by_paths,
     connectify_p5sp1,
@@ -271,13 +272,13 @@ def test_trace_swap_validation():
 def test_trace_bound_violation():
     trace = ProcedureTrace("test", 3)
     with pytest.raises(ContradictionError):
-        trace.finish((0, 1, 2), 2)
+        trace.finish(0b111, 2)
 
 
 def test_trace_checkpoint_rejects_non_fvs():
     trace = ProcedureTrace("test", 3)
     with pytest.raises(ContradictionError):
-        trace.checkpoint(cycle(3), (), "bad")
+        trace.checkpoint(cycle(3), 0, "bad")
 
 
 def test_sp3_pipeline_refuses_too_many_middle_vertices():
@@ -336,10 +337,10 @@ CORPUS_TRACE_DIGEST = "8bdfdd827e37d4b49d8d1f2f394ea170462c1362e0a7bf7024c45eade
 PINNED_TRACE_DIGEST = "5e91d51ae8f4bb8a5301a1bf3ecfee18f407f1e4ae723e5afc23bc047d03bae7"
 
 
-def _trace_digest(runs):
+def _trace_digest(runs, connectify=connectify_sp3):
     h = hashlib.sha256()
     for g, s in runs:
-        _, trace = connectify_sp3(g, s)
+        _, trace = connectify(g, s)
         h.update(trace.to_json().encode())
         h.update(b"\n")
     return h.hexdigest()
@@ -351,6 +352,9 @@ def test_sp3_traces_are_byte_stable():
     corpus = [g for n in range(1, 8) for g in enumerate_connected(n, forbidden=(2 * path(3),))]
     assert len(corpus) == 981
     assert _trace_digest((g, s) for g in corpus for s in (2, 3)) == CORPUS_TRACE_DIGEST
+    # the private run, which skips the public checks, writes the same bytes
+    runs = [(g, s) for g in corpus for s in (2, 3)]
+    assert _trace_digest(runs, _connectify_sp3) == CORPUS_TRACE_DIGEST
     pinned = SWAP_CASES + SECOND_COVER_CASES + ABSORB_CASES
     assert _trace_digest((decode(code), s) for code, s in pinned) == PINNED_TRACE_DIGEST
 

@@ -74,8 +74,21 @@ MUTANTS = {
     ),
     "sp3-middle-count": (
         "constructive.py",
-        "if len(deg2) > 4 * s_param:",
-        "if len(deg2) > 4 * s_param + 1:",
+        "if deg2.bit_count() > 4 * s_param:",
+        "if deg2.bit_count() > 4 * s_param + 1:",
+    ),
+    # move_step runs the same s*P_3 check; the line before makes it unique
+    "sp3-public-precondition": (
+        "constructive.py",
+        'connectification needs a connected graph")\n'
+        "    if _p3_copies(s_param).find(g) is not None:",
+        'connectification needs a connected graph")\n'
+        "    if _p3_copies(s_param).find(g) is not None and False:",
+    ),
+    "checkpoint-fvs-test": (
+        "constructive.py",
+        "if not g.mask_is_acyclic(g.full_mask & ~mask):",
+        "if not g.mask_is_acyclic(g.full_mask & ~mask) and False:",
     ),
     "max-order-check": ("graph.py", "if n > MAX_ORDER:", "if n > MAX_ORDER + 1:"),
     "singleton-split-order": ("iso.py", "out += (low, high)", "out += (high, low)"),
