@@ -94,11 +94,6 @@ class ProcedureTrace:
         self._checkpoints.append(mask)
         self.record(stage, note="fvs checkpoint", current=mask)
 
-    def extend(self, other: ProcedureTrace) -> None:
-        """Append the steps and checkpoints of ``other``, a run nested in this one."""
-        self._steps.extend(other._steps)
-        self._checkpoints.extend(other._checkpoints)
-
     def record_swap(self, g: Graph, removed: int, added: int) -> None:
         if g.closed_mask(removed) & ~g.closed_mask(added):
             raise ContradictionError(
@@ -545,7 +540,8 @@ def _sp3_pipeline(
         z_now = _component_of(g, s_cur, anchor)
         # s_cur was checkpointed as an FVS, and supersets of an FVS are FVSs
         moved, sub = _move_step(g, s_cur, z_now, u_mask, s_param, True)
-        trace.extend(sub)
+        trace._steps.extend(sub._steps)
+        trace._checkpoints.extend(sub._checkpoints)
         trace.record(f"move-{name}", added=moved & ~s_cur)
         s_cur = moved
     trace.checkpoint(g, s_cur, "after-moves")
