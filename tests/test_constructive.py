@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from pocfvs.constructive import (
     connectify_sp3,
     move_step,
 )
+from pocfvs.graph import iter_bits
 from pocfvs.graph6 import decode
 from pocfvs.harness import enumerate_connected, enumerate_connected_upto
 from pocfvs.iso import find_induced_embedding, is_free
@@ -206,9 +208,55 @@ def test_move_step_results_are_byte_stable():
     assert h.hexdigest() == MOVE_STEP_DIGEST
 
 
-def _seed_components(g, members):
-    from pocfvs.graph import iter_bits
+def _non_fvs_seed_corpus():
+    # every connected 2P_3-free graph with n <= 8 and a P_3: the seed is the
+    # first P_3 hit plus a nonempty set of vertices outside its closed
+    # neighborhood, kept only when it is not an FVS; z is the hit, and u the
+    # greedy maximal independent set off the seed
+    for g in enumerate_connected_upto(8, forbidden=(2 * path(3),)):
+        hit = find_induced_embedding(path(3), g)
+        if hit is None:
+            continue
+        z = frozenset(hit.values())
+        z_mask = g.vertex_mask(z)
+        outside = list(iter_bits(g.full_mask & ~(z_mask | g.mask_reach(z_mask))))
+        for k in range(1, len(outside) + 1):
+            for extra in itertools.combinations(outside, k):
+                seed = z | set(extra)
+                if is_fvs(g, seed):
+                    continue
+                taken = 0
+                u = []
+                for v in range(g.n):
+                    if v in seed or (g.mask(v) & taken):
+                        continue
+                    u.append(v)
+                    taken |= 1 << v
+                yield g, seed, z, u
 
+
+# sha256 of the public move_step results and traces on seeds that are not an
+# FVS, where the grown sets are recorded but not checkpointed
+NON_FVS_MOVE_STEP_DIGEST = "7a23865b0d8750f07b0a995f16f2347aee4fd775e5e8d2952d0e6cbd58d19473"
+
+
+def test_move_step_non_fvs_seeds_are_byte_stable():
+    h = hashlib.sha256()
+    runs = recorded = 0
+    for g, seed, z, u in _non_fvs_seed_corpus():
+        result, trace = move_step(g, seed, z, u, 2)
+        payload = trace.to_dict()
+        assert payload["fvs_checkpoints"] == []
+        recorded += any(step["stage"] == "after-u2" for step in payload["steps"])
+        runs += 1
+        h.update(json.dumps(sorted(result)).encode())
+        h.update(trace.to_json().encode())
+        h.update(b"\n")
+    assert (runs, recorded) == (413, 245)
+    assert h.hexdigest() == NON_FVS_MOVE_STEP_DIGEST
+
+
+def _seed_components(g, members):
     mask = sum(1 << v for v in members)
     return [frozenset(iter_bits(m)) for m in g.mask_components(mask)]
 
@@ -390,3 +438,41 @@ def test_p5sp1_traces_are_byte_stable():
                 runs += 1
     assert runs == 1615
     assert h.hexdigest() == P5SP1_TRACE_DIGEST
+
+
+# sha256 of the connectify_p5sp1 traces at s = 2 on every connected graph
+# with n <= 7; at this scale some vertices lie outside the closed
+# neighborhood of the P_5, so the independent-set loop fills
+P5SP1_S2_TRACE_DIGEST = "998e1a0a84103a1fba80e41a77612a6f73e8eab8b9bb9ac472aa161ec3118ee8"
+
+
+def test_p5sp1_s2_traces_are_byte_stable():
+    corpus = enumerate_connected_upto(7)
+    assert len(corpus) == 996
+    h = hashlib.sha256()
+    filled = 0
+    for g in corpus:
+        _, trace = connectify_p5sp1(g, 2)
+        payload = trace.to_dict()
+        filled += any(step["sets"].get("independent") for step in payload["steps"])
+        h.update(trace.to_json().encode())
+        h.update(b"\n")
+    assert filled == 6
+    assert h.hexdigest() == P5SP1_S2_TRACE_DIGEST
+
+
+# sha256 of the connectify_by_paths traces, seeded with the minimum FVS, on
+# every connected P_4-free graph with n <= 8, the corpus the path
+# construction criterion runs
+PATHS_TRACE_DIGEST = "4515b6b0a8757e76f1ed11adabc064a846372d1e656b79faab7e1d0c6dc19093"
+
+
+def test_paths_criterion_corpus_traces_are_byte_stable():
+    corpus = enumerate_connected_upto(8, forbidden=(path(4),))
+    assert len(corpus) == 405
+    h = hashlib.sha256()
+    for g in corpus:
+        _, trace = connectify_by_paths(g, min_fvs(g).witness)
+        h.update(trace.to_json().encode())
+        h.update(b"\n")
+    assert h.hexdigest() == PATHS_TRACE_DIGEST
