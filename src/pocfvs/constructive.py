@@ -22,10 +22,11 @@ guarantees the pipeline relies on is false.
 Public entry points check their preconditions and raise
 ``InvalidInputError`` when one fails. The private cores behind them
 (``_move_step``, ``_connectify_sp3``, ``_sp3_pipeline``) trust their
-callers and check none of them again, but keep every certificate. The
-cores hold vertex sets as bitmasks, built by ``Graph.vertex_mask`` as
-everywhere in the package; results leave as frozensets. Traces hold the
-masks as given, and their views sort them into tuples when read.
+callers and check none of them again, but keep every certificate; the
+move step and the pipeline record into their caller's trace. The cores
+hold vertex sets as bitmasks, built by ``Graph.vertex_mask`` as everywhere
+in the package; results leave as frozensets. Traces hold the masks as
+given, and their views sort them into lists when read.
 
 Internal exhaustive minima (covering subsets, smallest dominating cliques)
 run the solvers' one subset search, ``first_subset``: the bounds require
@@ -35,7 +36,6 @@ true minimality and the package only targets desk-scale inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ContradictionError, InvalidInputError
@@ -45,19 +45,12 @@ from .iso import _Pattern, find_induced_embedding, is_free
 from .solvers import SolveResult, first_subset, is_cfvs, min_cds, min_fvs
 
 
-@dataclass
-class TraceStep:
-    stage: str
-    sets: dict[str, tuple[int, ...]]
-    note: str = ""
-
-
 class ProcedureTrace:
     """Step-by-step audit record of one constructive run.
 
-    Every set is given and held as a vertex mask. The ``steps``,
-    ``fvs_checkpoints`` and ``result`` views, and ``to_dict``, sort the
-    masks into tuples when they are read.
+    Every set is given and held as a vertex mask. The ``steps`` and
+    ``fvs_checkpoints`` views sort the masks into lists when they are read,
+    in the shape ``to_dict`` writes.
     """
 
     def __init__(self, procedure: str, graph_order: int) -> None:
@@ -70,19 +63,15 @@ class ProcedureTrace:
         self._result = 0
 
     @property
-    def steps(self) -> list[TraceStep]:
+    def steps(self) -> list[dict]:
         return [
-            TraceStep(stage, {name: tuple(iter_bits(m)) for name, m in sets.items()}, note)
+            {"stage": stage, "sets": {name: list(iter_bits(m)) for name, m in sets.items()}, "note": note}
             for stage, sets, note in self._steps
         ]
 
     @property
-    def fvs_checkpoints(self) -> list[tuple[int, ...]]:
-        return [tuple(iter_bits(m)) for m in self._checkpoints]
-
-    @property
-    def result(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self._result))
+    def fvs_checkpoints(self) -> list[list[int]]:
+        return [list(iter_bits(m)) for m in self._checkpoints]
 
     def record(self, stage: str, note: str = "", **sets: int) -> None:
         self._steps.append((stage, sets, note))
@@ -117,15 +106,12 @@ class ProcedureTrace:
         return {
             "procedure": self.procedure,
             "graph_order": self.graph_order,
-            "steps": [
-                {"stage": st.stage, "sets": {k: list(v) for k, v in st.sets.items()}, "note": st.note}
-                for st in self.steps
-            ],
+            "steps": self.steps,
             "swaps": self.swaps,
-            "fvs_checkpoints": [list(c) for c in self.fvs_checkpoints],
+            "fvs_checkpoints": self.fvs_checkpoints,
             "claimed_bound": self.claimed_bound,
-            "result": list(self.result),
-            "result_size": len(self.result),
+            "result": list(iter_bits(self._result)),
+            "result_size": self._result.bit_count(),
         }
 
     def to_json(self) -> str:
@@ -223,8 +209,6 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
         out = f | dom
         bound = fvs_res.optimum + p5sp1_constant(0)
     else:
-        if s_param < 1:
-            raise ContradictionError("a P_5 was found in a graph verified P_5-free")
         p5_mask = g.vertex_mask(p5_hit.values())
         indep = 0
         for v in iter_bits(g.full_mask & ~(p5_mask | g.mask_reach(p5_mask))):
@@ -255,19 +239,10 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
 # -- the move step and the s*P_3 pipeline -------------------------------------
 
 
-def _component_of(g: Graph, members: int, anchor: int) -> int:
-    """The component of the subgraph induced by ``members`` that holds ``anchor``."""
-    if not (members >> anchor & 1):
-        raise ContradictionError("anchor left the working set")
-    return g.mask_component(anchor, members)
-
-
 def _min_cover(g: Graph, universe: int, groups: list[int]) -> int:
-    """Lexicographically first minimum subset of ``universe`` touching every group."""
-    m, _ = first_subset(universe, lambda c: all(g.mask_reach(c) & grp for grp in groups))
-    if m is None:
-        raise ContradictionError("no covering subset exists; groups are not all adjacent")
-    return m
+    """Lexicographically first minimum subset of ``universe`` touching every
+    group; each caller passes only groups that ``universe`` touches."""
+    return first_subset(universe, lambda c: all(g.mask_reach(c) & grp for grp in groups))[0]
 
 
 @lru_cache(maxsize=16)
@@ -313,22 +288,24 @@ def move_step(
     if g.mask_reach(u_mask) & u_mask:
         raise InvalidInputError("u must be an independent set")
     seed_is_fvs = g.mask_is_acyclic(g.full_mask & ~s_mask)
-    moved, trace = _move_step(g, s_mask, z_mask, u_mask, s_param, seed_is_fvs)
+    trace = ProcedureTrace("move-step", g.n)
+    moved = _move_step(g, s_mask, z_mask, u_mask, s_param, seed_is_fvs, trace)
+    trace.finish(moved, s_mask.bit_count() + 2 * s_param - 2)
     return frozenset(iter_bits(moved)), trace
 
 
 def _move_step(
-    g: Graph, s_mask: int, z_mask: int, u_mask: int, s_param: int, seed_is_fvs: bool
-) -> tuple[int, ProcedureTrace]:
-    """Core of :func:`move_step` on vertex masks; trusts the caller to meet
-    its preconditions and to say whether the seed is an FVS."""
-    trace = ProcedureTrace("move-step", g.n)
+    g: Graph, s_mask: int, z_mask: int, u_mask: int, s_param: int, seed_is_fvs: bool,
+    trace: ProcedureTrace,
+) -> int:
+    """Core of :func:`move_step` on vertex masks: records into ``trace`` and
+    returns the grown set. Trusts the caller to meet its preconditions and
+    to say whether the seed is an FVS."""
     anchor = next(iter_bits(z_mask))
     s_cur = s_mask
 
     def note_growth(stage: str) -> None:
-        # sets grown from an FVS seed stay FVSs; only then is the
-        # checkpoint meaningful
+        # only sets grown from an FVS seed are FVSs, and only they are checkpointed
         if seed_is_fvs:
             trace.checkpoint(g, s_cur, stage)
         else:
@@ -340,14 +317,11 @@ def _move_step(
     trace.record("collect", z=z_mask, u=u_mask, a=sum(comps_a))
     if comps_a:
         u1 = _min_cover(g, u_mask, comps_a)
-        # a private component of u is adjacent to no other cover vertex
+        # each vertex u of the minimum cover u1 has a private component: no rival touches it
         a1: set[int] = set()
         for u in iter_bits(u1):
             rivals = g.mask_reach(u1 & ~(1 << u))
-            mine = [c for c in comps_a if g.mask(u) & c and not rivals & c]
-            if not mine:
-                raise ContradictionError("a minimum cover vertex lost its private component")
-            a1.add(mine[0])
+            a1.add(next(c for c in comps_a if g.mask(u) & c and not rivals & c))
         a2 = [c for c in comps_a if c not in a1]
         u2 = _min_cover(g, u1, a2)
         if u2.bit_count() > s_param - 1:
@@ -374,7 +348,7 @@ def _move_step(
             raise ContradictionError(
                 f"third cover has {u4.bit_count()} vertices; at most {s_param - 1} are possible"
             )
-        z_now = _component_of(g, s_cur, anchor)
+        z_now = g.mask_component(anchor, s_cur)
         w_set = g.vertex_mask(u for u in iter_bits(u4) if sum(1 for c in a3 if g.mask(u) & c) >= 2)
         for u in iter_bits(w_set):
             if not g.mask(u) & z_now:
@@ -404,13 +378,8 @@ def _move_step(
     else:
         trace.record("noop", note="no outside component touches u")
 
-    # verify the contract
-    growth = s_cur.bit_count() - s_mask.bit_count()
-    if growth > 2 * s_param - 2:
-        raise ContradictionError(
-            f"move step grew the set by {growth}; the certified growth is {2 * s_param - 2}"
-        )
-    z_final = _component_of(g, s_cur, anchor)
+    # verify the contract; the growth is at most 2s - 2, as u2 and w are capped above
+    z_final = g.mask_component(anchor, s_cur)
     if (z_mask | (s_cur & ~s_mask)) & ~z_final:
         raise ContradictionError("an added vertex fell outside the hub component")
     u_left = u_mask & ~s_cur
@@ -422,8 +391,7 @@ def _move_step(
         if sum(1 for u in iter_bits(u_left) if g.mask(u) & c) > 1:
             raise ContradictionError("an outside component still touches two u-vertices")
     trace.record("done", result=s_cur)
-    trace.finish(s_cur, s_mask.bit_count() + 2 * s_param - 2)
-    return s_cur, trace
+    return s_cur
 
 
 def sp3_constant(s_param: int) -> int:
@@ -503,8 +471,6 @@ def _sp3_pipeline(
     anchor = middles[0]
     if scaffold.bit_count() > 4 * s_param * s_param - 4 * s_param:
         raise ContradictionError("the scaffold outgrew its certified size")
-    if not g.mask_is_connected(scaffold):
-        raise ContradictionError("the scaffold failed to connect")
     trace.record("scaffold", middles=g.vertex_mask(middles), scaffold=scaffold)
 
     s_cur = g.vertex_mask(fvs_res.witness) | scaffold
@@ -526,29 +492,26 @@ def _sp3_pipeline(
     trace.record("absorb-middle", absorbed=deg2)
     trace.checkpoint(g, s_cur, "after-middle")
 
+    # outside vertices now have at most one outside neighbor: a single
+    # vertex goes to u2, and an edge splits across both halves
     u1 = u2 = 0
     for comp in g.mask_components(g.full_mask & ~s_cur):
-        if comp.bit_count() > 2:
-            raise ContradictionError("outside components must be single vertices or edges")
-        # a single vertex goes to u2; an edge splits across both halves
         top = 1 << (comp.bit_length() - 1)
         u1 |= comp ^ top
         u2 |= top
     trace.record("halves", u1=u1, u2=u2)
 
     for name, u_mask in (("u1", u1), ("u2", u2)):
-        z_now = _component_of(g, s_cur, anchor)
+        z_now = g.mask_component(anchor, s_cur)
         # s_cur was checkpointed as an FVS, and supersets of an FVS are FVSs
-        moved, sub = _move_step(g, s_cur, z_now, u_mask, s_param, True)
-        trace._steps.extend(sub._steps)
-        trace._checkpoints.extend(sub._checkpoints)
+        moved = _move_step(g, s_cur, z_now, u_mask, s_param, True, trace)
         trace.record(f"move-{name}", added=moved & ~s_cur)
         s_cur = moved
     trace.checkpoint(g, s_cur, "after-moves")
 
     # absorb every outside component that still contains a 3-vertex path;
     # a connected graph is P_3-free exactly when it is complete
-    z_now = _component_of(g, s_cur, anchor)
+    z_now = g.mask_component(anchor, s_cur)
     absorbed = 0
     for comp in g.mask_components(g.full_mask & ~z_now):
         k = comp.bit_count()
@@ -573,17 +536,15 @@ def _sp3_pipeline(
     # swap one vertex per leftover component into its outside clique
     while True:
         comps = g.mask_components(s_cur)
-        z_now = _component_of(g, s_cur, anchor)
+        z_now = g.mask_component(anchor, s_cur)
         rest = [c for c in comps if c != z_now]
         if not rest:
             break
         a_comp = rest[0]
         x_candidate = next(iter_bits(a_comp))
         comp_mask = g.mask_component(x_candidate, g.full_mask & ~z_now)
-        gate = [v for v in iter_bits(comp_mask & ~a_comp) if g.mask(v) & z_now]
-        if not gate:
-            raise ContradictionError("a leftover component cannot reach the hub component")
-        y = gate[0]
+        # g is connected and a_comp does not touch the hub, so the rest does
+        y = next(v for v in iter_bits(comp_mask & ~a_comp) if g.mask(v) & z_now)
         trace.record_swap(g, x_candidate, y)
         s_cur = (s_cur & ~(1 << x_candidate)) | (1 << y)
         trace.checkpoint(g, s_cur, f"after-swap-{x_candidate}-{y}")

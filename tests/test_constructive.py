@@ -86,7 +86,7 @@ def test_p5sp1_with_isolated_budget():
     result, trace = connectify_p5sp1(c7, 1)
     assert is_cfvs(c7, result)
     assert len(result) <= min_fvs(c7).optimum + 3 * 1 + 10
-    stages = [step.stage for step in trace.steps]
+    stages = [step["stage"] for step in trace.steps]
     assert "p5-and-independents" in stages
 
 
@@ -100,7 +100,7 @@ def test_p5sp1_exhaustive_with_one_isolated():
             result, trace = connectify_p5sp1(g, 1)
             assert is_cfvs(g, result)
             assert len(result) <= min_fvs(g).optimum + 13
-            if any(step.stage == "p5-and-independents" for step in trace.steps):
+            if any(step["stage"] == "p5-and-independents" for step in trace.steps):
                 p5_branch += 1
     assert p5_branch > 0
 
@@ -282,7 +282,7 @@ def test_sp3_recursion_branch():
     k5 = Graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
     result, trace = connectify_sp3(k5, 2)
     assert len(result) == 3
-    assert any(step.stage == "recurse" for step in trace.steps)
+    assert any(step["stage"] == "recurse" for step in trace.steps)
 
 
 def test_sp3_errors():
@@ -370,13 +370,13 @@ def test_sp3_swap_stage(code, s):
 @pytest.mark.parametrize("code,s", SECOND_COVER_CASES)
 def test_sp3_second_cover_stage(code, s):
     trace = _run_pinned(code, s)
-    assert any(step.stage == "move-u2" and step.sets.get("u2") for step in trace.steps)
+    assert any(step["stage"] == "move-u2" and step["sets"].get("u2") for step in trace.steps)
 
 
 @pytest.mark.parametrize("code,s", ABSORB_CASES)
 def test_sp3_absorb_stage(code, s):
     trace = _run_pinned(code, s)
-    assert any(step.stage == "absorb-outside" for step in trace.steps)
+    assert any(step["stage"] == "absorb-outside" for step in trace.steps)
 
 
 # sha256 of the connectify_sp3 traces, one JSON document per line, as the
