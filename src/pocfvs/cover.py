@@ -62,12 +62,11 @@ class CoverContext:
         return cls.for_graphs([g])
 
 
-def covers_bruteforce(h: Graph, i: int, j: int, context: CoverContext | None = None) -> bool:
+def covers_bruteforce(h: Graph, i: int, j: int) -> bool:
     """Decide coverage of (i, j) by building the butterfly and matching."""
     if i < 3 or j < 3:
         raise InvalidInputError(f"cycle lengths must be >= 3, got ({i}, {j})")
-    ctx = context or CoverContext.for_graph(h)
-    return embeds_induced(h, butterfly(i, j, ctx.N))
+    return embeds_induced(h, butterfly(i, j, CoverContext.for_graph(h).N))
 
 
 # -- structure profiles ------------------------------------------------------
