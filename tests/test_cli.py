@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from pocfvs import cli
 from pocfvs.cli import main
 from pocfvs.graph6 import encode
-from pocfvs import butterfly, complete_bipartite, cycle
+from pocfvs import ContradictionError, butterfly, complete_bipartite, cycle
+from pocfvs.verification import CheckResult
 
 
 def run(capsys, *argv):
@@ -42,6 +43,14 @@ def test_solve_g6_source(capsys):
     assert "= 1" in out
 
 
+def test_solve_file_source_takes_the_first_graph(capsys, tmp_path):
+    corpus = tmp_path / "in.g6"
+    corpus.write_text(encode(butterfly(3, 3, 4)) + "\n" + encode(cycle(5)) + "\n")
+    code, out, _ = run(capsys, "solve", f"file:{corpus}", "--cfvs")
+    assert code == 0
+    assert f"cfvs(file:{corpus}) = 5" in out
+
+
 def test_covers_agreement(capsys):
     code, out, _ = run(capsys, "covers", "C3", "4", "4", "--both")
     assert code == 0
@@ -54,6 +63,16 @@ def test_table(capsys):
     assert code == 0
     assert out.count("✓") == 9
     assert "profile: linear-forest" in out
+
+
+def test_table_of_a_spider(capsys):
+    code, out, _ = run(capsys, "table", "claw", "--range", "3..8")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "profile: LF+T(1,1,1)"
+    # the claw misses only the pair (3, 3)
+    assert lines[2] == "3 | · ✓ ✓ ✓ ✓ ✓"
+    assert out.count("·") == 1 and out.count("✓") == 35
 
 
 def test_classify_single(capsys):
@@ -181,6 +200,30 @@ def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "lemmas")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_verify_exits_1_on_a_failing_criterion(capsys, monkeypatch):
+    results = [
+        (1, CheckResult("first", True, "held")),
+        (2, CheckResult("second", False, "1 failure(s): n=3: broken")),
+    ]
+    monkeypatch.setattr(cli, "run_suite", lambda suite: results)
+    code, out, err = run(capsys, "verify", "--suite", "lemmas")
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "[PASS] criterion  1 first: held",
+        "[FAIL] criterion  2 second: 1 failure(s): n=3: broken",
+    ]
+
+
+def test_contradiction_exit_code(capsys, monkeypatch):
+    def contradict(suite):
+        raise ContradictionError("a certified bound was exceeded")
+
+    monkeypatch.setattr(cli, "run_suite", contradict)
+    code, out, err = run(capsys, "verify")
+    assert code == 4 and out == ""
+    assert err == "internal contradiction: a certified bound was exceeded\n"
 
 
 def test_input_error_exit_code(capsys, tmp_path):

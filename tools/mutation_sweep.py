@@ -67,11 +67,6 @@ MUTANTS = {
         '"class-i": "embeds in a 3-vertex path; the two optima always coincide",',
         '"class-i": "embeds in a 3-vertex path",',
     ),
-    "move-step-growth": (
-        "constructive.py",
-        "if growth > 2 * s_param - 2:",
-        "if growth > 2 * s_param:",
-    ),
     "sp3-middle-count": (
         "constructive.py",
         "if deg2.bit_count() > 4 * s_param:",
@@ -145,12 +140,7 @@ MUTANTS = {
 }
 
 # mutants no test can kill, and why
-EQUIVALENT = {
-    "move-step-growth": (
-        "the guards before it cap the second cover u2 and the relay set w at "
-        "s - 1 vertices each, and only they are added, so growth <= 2s - 2 always"
-    ),
-}
+EQUIVALENT: dict[str, str] = {}
 
 # a mutant that makes some search run forever counts as killed
 TIMEOUT_S = 900
