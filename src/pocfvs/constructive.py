@@ -65,7 +65,7 @@ class ProcedureTrace:
     @property
     def steps(self) -> list[dict]:
         return [
-            {"stage": stage, "sets": {name: list(iter_bits(m)) for name, m in sets.items()}, "note": note}
+            {"stage": stage, "sets": {k: list(iter_bits(m)) for k, m in sets.items()}, "note": note}
             for stage, sets, note in self._steps
         ]
 
