@@ -115,14 +115,35 @@ def test_acyclicity_basics():
     assert Graph(0).is_acyclic()
 
 
+def mask_test_hosts():
+    # the disconnected host has masks whose first component is a tree and a
+    # later one a cycle
+    return (*enumerate_connected_upto(6), cycle(3) + path(3) + cycle(4))
+
+
 def test_mask_is_acyclic_matches_networkx_on_every_mask():
     # independent oracle: networkx's forest test on each induced subgraph
     nx = pytest.importorskip("networkx")
-    for g in enumerate_connected_upto(6):
+    for g in mask_test_hosts():
         whole = as_networkx(g)
         for mask in range(1, 1 << g.n):  # networkx refuses the empty graph
             assert g.mask_is_acyclic(mask) == nx.is_forest(whole.subgraph(iter_bits(mask)))
     assert path(3).mask_is_acyclic(0)
+
+
+def test_mask_components_match_networkx_on_every_mask():
+    nx = pytest.importorskip("networkx")
+    for g in mask_test_hosts():
+        whole = as_networkx(g)
+        for mask in range(1, 1 << g.n):
+            sub = whole.subgraph(iter_bits(mask))
+            comps = sorted((g.vertex_mask(c) for c in nx.connected_components(sub)), key=lambda c: c & -c)
+            assert g.mask_components(mask) == comps
+            assert g.mask_is_connected(mask) == nx.is_connected(sub)
+            for v in iter_bits(mask):
+                assert g.mask_component(v, mask) == next(c for c in comps if c >> v & 1)
+    assert path(3).mask_components(0) == []
+    assert not path(3).mask_is_connected(0)
 
 
 def test_butterfly_minus_hubs_is_acyclic():
