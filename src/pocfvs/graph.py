@@ -3,7 +3,11 @@
 Every structure in this package is built on :class:`Graph`. Instances are
 immutable after construction and hashable, so they can be shared between
 threads and used as dictionary keys. Adjacency is one bitmask per vertex,
-and every query, traversal and search runs on these masks. A vertex set
+and every query, traversal and search runs on these masks. The component
+and forest tests are one pass each: a component grows from its least
+vertex, one popped vertex at a time, and the forest test stops at the
+first popped vertex that sees a reached neighbour other than its parent,
+since that edge closes a cycle. A vertex set
 given from outside enters as a mask through :meth:`Graph.vertex_mask`,
 which validates it once.
 """
@@ -181,29 +185,27 @@ class Graph:
 
     def mask_component(self, start: int, mask: int) -> int:
         """Bitmask of the component of ``start`` inside the induced ``mask``."""
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            frontier = self.mask_reach(frontier) & mask & ~comp
-            comp |= frontier
-        return comp
+        masks = self._masks
+        todo = 1 << start
+        rest = mask & ~todo  # not reached yet
+        while todo:
+            low = todo & -todo
+            new = masks[low.bit_length() - 1] & rest
+            rest ^= new
+            todo ^= low | new
+        return (mask ^ rest) | 1 << start
 
     def mask_components(self, mask: int) -> list[int]:
         """Component bitmasks of the induced subgraph, ordered by least vertex."""
         out = []
-        rest = mask
-        while rest:
-            start = (rest & -rest).bit_length() - 1
-            comp = self.mask_component(start, rest)
+        while mask:
+            comp = self.mask_component((mask & -mask).bit_length() - 1, mask)
             out.append(comp)
-            rest &= ~comp
+            mask ^= comp
         return out
 
     def mask_is_connected(self, mask: int) -> bool:
-        if mask == 0:
-            return False
-        start = (mask & -mask).bit_length() - 1
-        return self.mask_component(start, mask) == mask
+        return mask != 0 and self.mask_component((mask & -mask).bit_length() - 1, mask) == mask
 
     def mask_edge_count(self, mask: int) -> int:
         masks = self._masks
@@ -216,12 +218,25 @@ class Graph:
         return ends // 2
 
     def mask_is_acyclic(self, mask: int) -> bool:
-        # a graph is a forest iff edges = vertices - components, so one with
-        # as many edges as vertices never is
-        edges, order = self.mask_edge_count(mask), mask.bit_count()
-        if edges >= order:
-            return not edges
-        return edges == order - len(self.mask_components(mask))
+        """True when the subgraph induced by ``mask`` is a forest."""
+        masks = self._masks
+        rest = mask  # not reached yet
+        while rest:
+            # grow the component of the least unreached vertex
+            todo = rest & -rest
+            rest ^= todo
+            while todo:
+                low = todo & -todo
+                nbrs = masks[low.bit_length() - 1] & mask
+                new = nbrs & rest
+                # in a forest a popped vertex has reached only its parent;
+                # any other reached neighbour closes a cycle
+                seen = nbrs ^ new
+                if seen & (seen - 1):
+                    return False
+                rest ^= new
+                todo ^= low | new
+        return True
 
     def is_connected(self) -> bool:
         """True for exactly one component; the empty graph counts as disconnected."""

@@ -88,7 +88,7 @@ def shortest_cycle(g: Graph, mask: int | None = None) -> tuple[int, ...] | None:
     """
     if mask is None:
         mask = g.full_mask
-    adj = [g.mask(v) & mask for v in range(g.n)]
+    adj = [m & mask for m in g._masks]
     for root in iter_bits(mask):
         for a in iter_bits(adj[root]):
             inner = adj[a] & adj[root]
@@ -262,12 +262,24 @@ def _cfvs_walk(g: Graph, start: int) -> tuple[int, int]:
         k = g.mask_component(least, full & ~excluded)
         return not chosen & ~k and g.mask_is_acyclic(full & ~k)
 
-    m, explored = first_subset(
-        full,
-        lambda c: (not c or g.mask_is_connected(c)) and g.mask_is_acyclic(full & ~c),
-        start,
-        viable,
-    )
+    masks = g._masks
+
+    def accept(c: int) -> bool:
+        # Graph.mask_is_connected's traversal, inlined: on the walk's small
+        # sets the two calls behind it cost more than the traversal itself
+        if c:
+            todo = c & -c
+            rest = c ^ todo  # not reached yet
+            while todo:
+                low = todo & -todo
+                new = masks[low.bit_length() - 1] & rest
+                rest ^= new
+                todo ^= low | new
+            if rest:
+                return False
+        return g.mask_is_acyclic(full & ~c)
+
+    m, explored = first_subset(full, accept, start, viable)
     if m is None:
         raise ContradictionError("the full vertex set is always a connected FVS")
     return m, explored

@@ -131,7 +131,9 @@ MUTANTS = {
         "bytes(top - i for i in reversed([*iter_bits(c)]))",
         "bytes(top - i for i in iter_bits(c))",
     ),
-    "acyclic-edge-precheck": ("graph.py", "if edges >= order:", "if edges >= order - 1:"),
+    "acyclic-parent-test": ("graph.py", "if seen & (seen - 1):", "if seen.bit_count() > 2:"),
+    "component-mask": ("graph.py", "rest = mask & ~todo", "rest = ~todo"),
+    "cfvs-accept-connected": ("solvers.py", "if rest:", "if rest & (rest - 1):"),
     "fvs-leaf-forest": (
         "solvers.py",
         "return [] if g.mask_is_acyclic(mask) else None",
