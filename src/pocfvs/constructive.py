@@ -533,23 +533,22 @@ def _sp3_pipeline(
             f"pipeline size {s_cur.bit_count()} exceeds the certified bound {claimed}"
         )
 
-    # swap one vertex per leftover component into its outside clique
+    # swap one vertex per leftover component into its outside clique; y
+    # touches the hub and N[x] is inside N[y], so the rest of x's component
+    # joins the hub through y and each swap removes one component
     while True:
-        comps = g.mask_components(s_cur)
         z_now = g.mask_component(anchor, s_cur)
-        rest = [c for c in comps if c != z_now]
-        if not rest:
+        others = s_cur & ~z_now
+        if not others:
             break
-        a_comp = rest[0]
-        x_candidate = next(iter_bits(a_comp))
+        x_candidate = (others & -others).bit_length() - 1
+        a_comp = g.mask_component(x_candidate, others)
         comp_mask = g.mask_component(x_candidate, g.full_mask & ~z_now)
         # g is connected and a_comp does not touch the hub, so the rest does
         y = next(v for v in iter_bits(comp_mask & ~a_comp) if g.mask(v) & z_now)
         trace.record_swap(g, x_candidate, y)
         s_cur = (s_cur & ~(1 << x_candidate)) | (1 << y)
         trace.checkpoint(g, s_cur, f"after-swap-{x_candidate}-{y}")
-        if len(g.mask_components(s_cur)) >= len(comps):
-            raise ContradictionError("a swap failed to reduce the component count")
     if not is_cfvs(g, iter_bits(s_cur)):
         raise ContradictionError("the pipeline did not produce a connected FVS")
     trace.record("done", result=s_cur)

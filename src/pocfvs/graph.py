@@ -7,9 +7,8 @@ and every query, traversal and search runs on these masks. The component
 and forest tests are one pass each: a component grows from its least
 vertex, one popped vertex at a time, and the forest test stops at the
 first popped vertex that sees a reached neighbour other than its parent,
-since that edge closes a cycle. A vertex set
-given from outside enters as a mask through :meth:`Graph.vertex_mask`,
-which validates it once.
+since that edge closes a cycle. A vertex set given from outside enters as
+a mask through :meth:`Graph.vertex_mask`, which validates it once.
 """
 
 from __future__ import annotations

@@ -259,6 +259,26 @@ def check_p5_free_bound() -> CheckResult:
     )
 
 
+def audit_sp3_trace(g: Graph, trace) -> list[str]:
+    """The 2P_3-free criterion's audit of one ``connectify_sp3`` trace.
+
+    Recomputes from ``g``, not from the trace's own flags, that every
+    checkpoint is an FVS and that every swap's closed neighbourhoods nest.
+    Returns a failure line for the first breach of each, if any.
+    """
+    failures = []
+    for intermediate in trace.fvs_checkpoints:
+        if not is_fvs(g, intermediate):
+            failures.append(f"n={g.n}: trace intermediate is not an FVS")
+            break
+    for swap in trace.swaps:
+        x, y = swap["removed"], swap["added"]
+        if g.closed_mask(x) & ~g.closed_mask(y):
+            failures.append(f"n={g.n}: swap {x}->{y} lacks containment")
+            break
+    return failures
+
+
 def check_2p3_free_bound() -> CheckResult:
     failures = []
     total = 0
@@ -272,15 +292,7 @@ def check_2p3_free_bound() -> CheckResult:
             failures.append(f"n={g.n}: invalid output")
         elif len(result) > f + 42:
             failures.append(f"n={g.n}: size {len(result)} > fvs {f} + 42")
-        for intermediate in trace.fvs_checkpoints:
-            if not is_fvs(g, intermediate):
-                failures.append(f"n={g.n}: trace intermediate is not an FVS")
-                break
-        for swap in trace.swaps:
-            x, y = swap["removed"], swap["added"]
-            if g.closed_mask(x) & ~g.closed_mask(y):
-                failures.append(f"n={g.n}: swap {x}->{y} lacks containment")
-                break
+        failures += audit_sp3_trace(g, trace)
     return _result(
         "2p3-free-additive-bound",
         failures,

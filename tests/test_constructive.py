@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,7 @@ from pocfvs.graph6 import decode
 from pocfvs.harness import enumerate_connected, enumerate_connected_upto
 from pocfvs.iso import find_induced_embedding, is_free
 from pocfvs.solvers import is_cfvs, is_fvs, min_fvs
+from pocfvs.verification import audit_sp3_trace
 
 
 def test_paths_on_butterfly():
@@ -365,6 +367,22 @@ def test_sp3_swap_stage(code, s):
     assert trace.swaps
     for swap in trace.swaps:
         assert swap["closed_neighborhood_contained"]
+    # the 2P_3-free criterion's audit, which no trace of its own corpus
+    # reaches with a swap, recomputes each containment from the graph
+    assert audit_sp3_trace(decode(code), trace) == []
+
+
+def test_sp3_trace_audit_reports_each_breach():
+    g = cycle(3) + path(3)
+    # the empty set leaves the triangle; N[5] = {4, 5} is inside N[4] =
+    # {3, 4, 5}, which is not inside N[3] = {3, 4}
+    forged = SimpleNamespace(
+        fvs_checkpoints=[[0], []], swaps=[{"removed": 5, "added": 4}, {"removed": 4, "added": 3}]
+    )
+    assert audit_sp3_trace(g, forged) == [
+        "n=6: trace intermediate is not an FVS",
+        "n=6: swap 4->3 lacks containment",
+    ]
 
 
 @pytest.mark.parametrize("code,s", SECOND_COVER_CASES)
