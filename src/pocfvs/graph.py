@@ -4,11 +4,13 @@ Every structure in this package is built on :class:`Graph`. Instances are
 immutable after construction and hashable, so they can be shared between
 threads and used as dictionary keys. Adjacency is one bitmask per vertex,
 and every query, traversal and search runs on these masks. The component
-and forest tests are one pass each: a component grows from its least
-vertex, one popped vertex at a time, and the forest test stops at the
-first popped vertex that sees a reached neighbour other than its parent,
-since that edge closes a cycle. A vertex set given from outside enters as
-a mask through :meth:`Graph.vertex_mask`, which validates it once.
+and forest tests are one pass each. A component grows from one vertex,
+popping one vertex at a time and adding its unreached neighbours in the
+mask. The forest test grows each component from its least vertex the same
+way, and stops at the first popped vertex that sees a reached neighbour
+other than its parent, since that edge closes a cycle. A vertex set given
+from outside enters as a mask through :meth:`Graph.vertex_mask`, which
+validates it once.
 """
 
 from __future__ import annotations

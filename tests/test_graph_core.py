@@ -137,7 +137,8 @@ def test_mask_components_match_networkx_on_every_mask():
         whole = as_networkx(g)
         for mask in range(1, 1 << g.n):
             sub = whole.subgraph(iter_bits(mask))
-            comps = sorted((g.vertex_mask(c) for c in nx.connected_components(sub)), key=lambda c: c & -c)
+            comps = [g.vertex_mask(c) for c in nx.connected_components(sub)]
+            comps.sort(key=lambda c: c & -c)  # by least vertex
             assert g.mask_components(mask) == comps
             assert g.mask_is_connected(mask) == nx.is_connected(sub)
             for v in iter_bits(mask):
