@@ -19,6 +19,7 @@ from pocfvs import (
     tadpole,
 )
 from pocfvs import graph6 as g6mod
+from pocfvs.generators import graph_from_text
 from pocfvs.graph6 import decode, encode, read_file
 from pocfvs.harness import (
     EnumerationSpec,
@@ -32,6 +33,7 @@ from pocfvs.harness import (
 )
 from pocfvs.iso import _search, are_isomorphic, canonical_form, is_free
 from pocfvs.solvers import min_cfvs, min_fvs
+from pocfvs.verification import oracle_catalog
 
 from _oracles import (
     dfs_is_acyclic,
@@ -155,6 +157,29 @@ def test_enumeration_levels_are_byte_stable():
     }
     digests = {name: _level_digest(family, n_max) for name, (family, n_max) in families.items()}
     assert digests == LEVEL_DIGESTS
+
+
+# sha256 of the n <= 7 levels, one by one and joined, of one-member families
+# of every oracle-catalog pattern, of the benchmark's query families, of the
+# empty pattern (which keeps nothing) and of a pattern too large for any
+# level, as the plain filter over each level found them
+FAMILY_LEVELS_DIGEST = "7e940dc7f6297920361fe268263ffa56bbc76a6a1578e05d490bc6b5575ba572"
+
+
+def test_family_levels_are_byte_stable():
+    families = [(h,) for _, h in oracle_catalog()]
+    for text in ["kbip:4,4", "3C3", "kbip:1,6", "P4;kbip:4,4", "claw;3C3"]:
+        families.append(tuple(graph_from_text(s) for s in text.split(";")))
+    families += [(Graph(0),), (cycle(8),)]
+    # freeness ignores labels, so seeded relabelled members give the same levels
+    rng = random.Random(25)
+    for family in families[:]:
+        families.append(tuple(m.relabel(rng.sample(range(m.n), m.n)) for m in family))
+    h = hashlib.sha256()
+    for family in families:
+        h.update(_level_digest(family, 7).encode())
+        h.update(json.dumps([g.edges() for g in enumerate_connected_upto(7, family)]).encode())
+    assert h.hexdigest() == FAMILY_LEVELS_DIGEST
 
 
 def test_enumeration_and_canonical_keys_match_the_networkx_atlas():
