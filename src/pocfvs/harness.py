@@ -17,9 +17,12 @@ canonical code, so ``evaluate_graphs`` names a level graph without a
 second canonical search: a graph's name is the graph6 of its code. A
 level is sorted on the codes alone: read from the top, a code's set bits
 are the canonical form's edges in edge-list order. A forbidden family
-is applied by filtering the cached level. Because freeness is hereditary,
-that keeps exactly the representatives a growth restricted to free graphs
-would find.
+filters the cached levels from the bottom up. Growth appends the new
+vertex last, so a representative without its last vertex is exactly its
+parent representative, and freeness is hereditary: a representative is
+kept iff its parent was kept and no member has an induced copy through
+the last vertex. That keeps exactly the representatives a growth
+restricted to free graphs would find.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .cover import ClassificationResult, family_covers_all, structure_profile
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
-from .iso import _search, free_filter
+from .iso import _copies_through, _search, free_filter
 from .solvers import fvs_and_cfvs
 
 MAX_ENUMERATION_ORDER = 8
@@ -67,12 +70,11 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
     """
     if n < 1:
         raise InvalidInputError(f"order must be >= 1, got {n}")
-    if n > MAX_ENUMERATION_ORDER:
-        raise ResourceLimitError(f"internal enumeration stops at {MAX_ENUMERATION_ORDER}")
-    forbidden = tuple(forbidden)
-    if forbidden:
-        free = free_filter(forbidden)
-        return [g for g in enumerate_connected(n) if free(g)]
+    return _free_levels(n, forbidden)[-1]
+
+
+def _level(n: int) -> dict[Graph, int]:
+    """The cached level of order ``n``: each representative and its canonical code."""
     if n not in _LEVEL_CACHE:
         if n == 1:
             _LEVEL_CACHE[n] = {Graph(1): 0}
@@ -80,7 +82,7 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
             # code -> masks of the first candidate with it
             seen: dict[int, tuple[int, ...]] = {}
             base = n - 1
-            for g in enumerate_connected(base):
+            for g in _level(base):
                 masks = g._masks
                 for extra in _orbit_minima(base, _search(masks)[2]):
                     grown = (
@@ -93,7 +95,38 @@ def enumerate_connected(n: int, forbidden=()) -> list[Graph]:
             top = n * (n - 1) // 2 - 1
             codes = sorted(seen, key=lambda c: bytes(top - i for i in reversed([*iter_bits(c)])))
             _LEVEL_CACHE[n] = {Graph._from_masks(seen[code]): code for code in codes}
-    return list(_LEVEL_CACHE[n])
+    return _LEVEL_CACHE[n]
+
+
+def _free_levels(n_max: int, forbidden) -> list[list[Graph]]:
+    """Levels 1..``n_max`` of :func:`enumerate_connected` avoiding ``forbidden``.
+
+    Each level is filtered from the one below it. Growth appends the new
+    vertex last, so a level-n representative without vertex n - 1 has
+    exactly its parent representative's masks. Freeness is hereditary, so
+    the representative is free iff its parent was kept and no member has
+    an induced copy through vertex n - 1. A member larger than ``n_max``
+    fits in no level and is dropped.
+    """
+    if n_max > MAX_ENUMERATION_ORDER:
+        raise ResourceLimitError(f"internal enumeration stops at {MAX_ENUMERATION_ORDER}")
+    family = [h for h in forbidden if h.n <= n_max]
+    if not family:
+        return [list(_level(n)) for n in range(1, n_max + 1)]
+    free = free_filter(family)
+    levels = [[g for g in _level(1) if free(g)]]
+    through = _copies_through(family)
+    for n in range(2, n_max + 1):
+        kept = {g._masks for g in levels[-1]}
+        low = (1 << n - 1) - 1
+        levels.append(
+            [
+                g
+                for g in _level(n)
+                if tuple(m & low for m in g._masks[:-1]) in kept and not through(g, n - 1)
+            ]
+        )
+    return levels
 
 
 def _orbit_minima(n: int, perms) -> list[int]:
@@ -122,10 +155,7 @@ def _orbit_minima(n: int, perms) -> list[int]:
 
 
 def enumerate_connected_upto(n_max: int, forbidden=()) -> list[Graph]:
-    out: list[Graph] = []
-    for n in range(1, n_max + 1):
-        out.extend(enumerate_connected(n, forbidden))
-    return out
+    return [g for level in _free_levels(n_max, forbidden) for g in level]
 
 
 # -- experiments -------------------------------------------------------------

@@ -12,7 +12,11 @@ vertices with the same neighbours apart from each other. A pattern vertex
 is matched only above the image of its latest earlier twin: swapping the
 images of two pattern twins gives another embedding, so the least
 embedding, the one the search returns, already lists twin images in
-increasing order.
+increasing order. An anchored pattern starts its order at one vertex, and
+its search pins that position to one host vertex. Compiled once per
+orbit of the pattern's automorphism group, it tells whether some copy
+passes through a given host vertex; the level filter asks this of each new
+vertex.
 
 Canonical forms come from one search over the refinement tree on cell
 bitmasks, pruned by the automorphisms it finds (McKay and Piperno,
@@ -34,11 +38,11 @@ from __future__ import annotations
 from .graph import Graph, iter_bits
 
 
-def _matching_order(pattern: Graph) -> tuple[int, ...]:
-    """Pattern vertices, most-constrained first, deterministic ties."""
+def _matching_order(pattern: Graph, first: int | None = None) -> tuple[int, ...]:
+    """Pattern vertices, most-constrained first, deterministic ties; ``first`` leads if given."""
     n = pattern.n
-    order: list[int] = []
-    placed = 0
+    order: list[int] = [] if first is None else [first]
+    placed = 0 if first is None else 1 << first
     while len(order) < n:
         best = None
         for v in range(n):
@@ -59,13 +63,17 @@ class _Pattern:
     Holds the matching order, the pattern degree at each position, the
     earlier positions each position must be adjacent and non-adjacent to,
     and the latest earlier position holding a twin of it (-1 if none).
+    Compiled at an ``anchor``, the order starts there, so that
+    :meth:`embed` can pin position 0 to one host vertex. No twin bound then
+    points at position 0: a swap with it would move the pin, and the level
+    filter pins the host's largest vertex, above which no twin can map.
     """
 
     __slots__ = ("n", "edge_count", "order", "degrees", "adj", "non_adj", "twin")
 
-    def __init__(self, pattern: Graph):
+    def __init__(self, pattern: Graph, anchor: int | None = None):
         self.n, self.edge_count = pattern.n, pattern.edge_count
-        self.order = order = _matching_order(pattern)
+        self.order = order = _matching_order(pattern, anchor)
         self.degrees = tuple(pattern.degree(p) for p in order)
         self.adj = tuple(
             tuple(j for j in range(i) if pattern.has_edge(p, order[j])) for i, p in enumerate(order)
@@ -75,13 +83,25 @@ class _Pattern:
             for i, p in enumerate(order)
         )
         masks = pattern._masks
+        first = 0 if anchor is None else 1
         self.twin = tuple(
             max(
-                (j for j in range(i) if masks[p] & ~(1 << order[j]) == masks[order[j]] & ~(1 << p)),
+                (
+                    j
+                    for j in range(first, i)
+                    if masks[p] & ~(1 << order[j]) == masks[order[j]] & ~(1 << p)
+                ),
                 default=-1,
             )
             for i, p in enumerate(order)
         )
+
+    def degree_masks(self, masks: tuple[int, ...]) -> dict[int, int]:
+        """For each pattern degree d, the mask of host vertices of degree at least d."""
+        return {
+            d: sum(1 << v for v, m in enumerate(masks) if m.bit_count() >= d)
+            for d in set(self.degrees)
+        }
 
     def find(self, host: Graph) -> dict[int, int] | None:
         """First induced embedding into ``host``, or ``None``; see :func:`find_induced_embedding`."""
@@ -91,12 +111,18 @@ class _Pattern:
         if n > host.n or self.edge_count > host.edge_count:
             return None
         masks = host._masks
-        # degree-feasible host candidates, one mask per distinct pattern degree
-        by_degree = {
-            d: sum(1 << v for v, m in enumerate(masks) if m.bit_count() >= d)
-            for d in set(self.degrees)
-        }
+        assignment = self.embed(masks, self.degree_masks(masks))
+        return None if assignment is None else dict(zip(self.order, assignment))
+
+    def embed(self, masks: tuple[int, ...], by_degree: dict[int, int], pin: int = -1):
+        """The least embedding's host vertex at each position, or ``None``.
+
+        ``by_degree`` is :meth:`degree_masks` of the host ``masks``, and
+        position 0 takes only host vertices in the mask ``pin``.
+        """
+        n = self.n
         feasible = [by_degree[d] for d in self.degrees]
+        feasible[0] &= pin
         adj, non_adj, twin = self.adj, self.non_adj, self.twin
         assignment = [0] * n
 
@@ -122,9 +148,7 @@ class _Pattern:
                 cands ^= low
             return False
 
-        if extend(0, 0):
-            return dict(zip(self.order, assignment))
-        return None
+        return assignment if extend(0, 0) else None
 
 
 def find_induced_embedding(pattern: Graph, host: Graph) -> dict[int, int] | None:
@@ -152,6 +176,53 @@ def free_filter(family):
     """
     patterns = [_Pattern(h) for h in family]
     return lambda g: all(p.find(g) is None for p in patterns)
+
+
+def _copies_through(family):
+    """The test whether a member of ``family`` has an induced copy in a host through vertex ``v``.
+
+    A copy through ``v`` maps some pattern vertex to it, and composing the
+    copy with an automorphism of the pattern moves that vertex anywhere in
+    its orbit. So each member is compiled once per orbit, anchored at the
+    orbit's least vertex, with position 0 pinned to ``v``; the degree masks
+    are built once per host and member. The empty pattern has no vertex,
+    so no copy of it passes through ``v``.
+    """
+    members = [[_Pattern(h, a) for a in _orbit_anchors(h)] for h in family if h.n]
+
+    def through(g: Graph, v: int) -> bool:
+        masks = g._masks
+        for anchored in members:
+            first = anchored[0]
+            if first.n > g.n or first.edge_count > g.edge_count:
+                continue
+            by_degree = first.degree_masks(masks)
+            if any(p.embed(masks, by_degree, 1 << v) is not None for p in anchored):
+                return True
+        return False
+
+    return through
+
+
+def _orbit_anchors(g: Graph) -> list[int]:
+    """The least vertex of each orbit of ``g``'s automorphism group, ascending."""
+    gens = _search(g._masks)[2]
+    anchors: list[int] = []
+    seen = 0
+    for v in range(g.n):
+        if not seen >> v & 1:
+            anchors.append(v)
+            seen |= _orbit(gens, 1 << v)
+    return anchors
+
+
+def _orbit(gens, mask: int) -> int:
+    """The union of the orbits of the vertices in ``mask`` under the group ``gens`` generate."""
+    orbit = frontier = mask
+    while frontier:
+        frontier = sum({1 << p[w] for p in gens for w in iter_bits(frontier)}) & ~orbit
+        orbit |= frontier
+    return orbit
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -266,11 +337,7 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
         for v in iter_bits(cell):
             if explored and auts:
                 gens = [p for p in auts if all(p[u] == u for u in path)]
-                orbit, frontier = explored, explored
-                while frontier:
-                    frontier = sum({1 << p[w] for p in gens for w in iter_bits(frontier)}) & ~orbit
-                    orbit |= frontier
-                if orbit >> v & 1:
+                if _orbit(gens, explored) >> v & 1:
                     continue
             explored |= 1 << v
             child = cells[:target] + [1 << v, cell ^ 1 << v] + cells[target + 1 :]

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from pocfvs import (
+    ContradictionError,
     Graph,
     InvalidInputError,
     ResourceLimitError,
@@ -27,11 +28,15 @@ from pocfvs.cover import (
     MAX_TABLE_SIDE,
     NOT_BUTTERFLY,
     PairSet,
+    StructureProfile,
+    _fits_spiders,
+    _fits_triangle_tadpoles,
     classify_pair,
     covered_pairs,
     covers_bruteforce,
     family_covers_all,
     must_contain_check,
+    pairs_for_profile,
     render_pair_table,
     structure_profile,
 )
@@ -245,6 +250,25 @@ def test_must_contain_check():
     # long legs are read off the profile, with no host of twice the member's order
     rep = must_contain_check([cycle(3), 2 * spider(100, 1, 1)])
     assert (rep.double_tadpole_member, rep.double_spider_member) == (0, 1)
+
+
+def test_pairs_for_profile_rejects_an_unknown_kind():
+    # structure_profile returns only the kinds pairs_for_profile handles, so
+    # only a hand-built profile reaches the guard
+    with pytest.raises(ContradictionError, match="unhandled profile kind 'LF\\+D\\+D\\+D'"):
+        pairs_for_profile(StructureProfile("LF+D+D+D", tadpoles=((0, 3),) * 3))
+
+
+def test_must_contain_parts_are_read_off_two_covered_pairs():
+    # must_contain_check's guard cannot fire while these hold: a bounded
+    # family covers (3, 3), which only a member fitting two triangle
+    # tadpoles covers, and (N, N) past every member's cycle and legs, which
+    # only a member fitting two spiders covers
+    named = oracle_catalog() + [(f"g{k}", g) for k, g in enumerate(_graphs_upto(6))]
+    for name, h in named:
+        p, pairs, far = structure_profile(h), covered_pairs(h), h.n + 3
+        assert pairs.contains(3, 3) == _fits_triangle_tadpoles(p, 2), name
+        assert pairs.contains(far, far) == _fits_spiders(p, 2, False), name
 
 
 def test_classify_pair_bullets():

@@ -23,6 +23,7 @@ from pocfvs import iso
 from pocfvs.harness import enumerate_connected
 from pocfvs.iso import (
     _Pattern,
+    _copies_through,
     _search,
     are_isomorphic,
     canonical_form,
@@ -241,6 +242,41 @@ def test_matcher_embeddings_are_byte_stable():
             h.update(json.dumps(None if phi is None else sorted(phi.items())).encode())
             h.update(b"\n")
     assert h.hexdigest() == MATCHER_DIGEST
+
+
+def test_copies_through_a_vertex_match_networkx():
+    # the level filter asks whether some copy of a member uses the new
+    # vertex; networkx lists every node-induced copy, so the union of their
+    # images is exactly the set of vertices some copy passes through
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    patterns = [
+        cycle(3),
+        claw(),
+        cycle(4),
+        2 * path(2),
+        path(3) + path(1),
+        2 * path(3),
+        complete_bipartite(2, 3),
+        path(4),
+    ]
+    small = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    cases = [(h, small) for h in patterns]
+    cases += [(h, enumerate_connected(7)) for h in (2 * path(3), path(4))]
+    for h, hosts in cases:
+        through = _copies_through([h])
+        H = nx.Graph(h.edges())
+        H.add_nodes_from(range(h.n))
+        for g in hosts:
+            G = nx.Graph(g.edges())
+            G.add_nodes_from(range(g.n))
+            images = set()
+            for phi in GraphMatcher(G, H).subgraph_isomorphisms_iter():
+                images |= phi.keys()
+                if len(images) == g.n:
+                    break
+            assert {v for v in range(g.n) if through(g, v)} == images, (h.edges(), g.edges())
 
 
 def _petersen():

@@ -139,6 +139,17 @@ MUTANTS = {
         "return [] if g.mask_is_acyclic(mask) else None",
         "return [] if g.mask_is_acyclic(mask & mask - 1) else None",
     ),
+    "anchor-twin-bound": ("iso.py", "first = 0 if anchor is None else 1", "first = 0"),
+    "anchor-orbits": (
+        "iso.py",
+        "[_Pattern(h, a) for a in _orbit_anchors(h)]",
+        "[_Pattern(h, a) for a in _orbit_anchors(h)[:1]]",
+    ),
+    "hereditary-parent-check": (
+        "harness.py",
+        "if tuple(m & low for m in g._masks[:-1]) in kept and not through(g, n - 1)",
+        "if not through(g, n - 1)",
+    ),
 }
 
 # mutants no test can kill, and why
