@@ -101,12 +101,10 @@ def _level(n: int) -> dict[Graph, int]:
 def _free_levels(n_max: int, forbidden) -> list[list[Graph]]:
     """Levels 1..``n_max`` of :func:`enumerate_connected` avoiding ``forbidden``.
 
-    Each level is filtered from the one below it. Growth appends the new
-    vertex last, so a level-n representative without vertex n - 1 has
-    exactly its parent representative's masks. Freeness is hereditary, so
-    the representative is free iff its parent was kept and no member has
-    an induced copy through vertex n - 1. A member larger than ``n_max``
-    fits in no level and is dropped.
+    Each level is filtered from the one below it, as the module docstring
+    explains: a level-n representative without vertex n - 1 has exactly
+    its parent's masks. A member larger than ``n_max`` fits in no level
+    and is dropped.
     """
     if n_max > MAX_ENUMERATION_ORDER:
         raise ResourceLimitError(f"internal enumeration stops at {MAX_ENUMERATION_ORDER}")

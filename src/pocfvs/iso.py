@@ -193,10 +193,10 @@ def _copies_through(family):
     def through(g: Graph, v: int) -> bool:
         masks = g._masks
         for anchored in members:
-            first = anchored[0]
-            if first.n > g.n or first.edge_count > g.edge_count:
+            lead = anchored[0]
+            if lead.n > g.n or lead.edge_count > g.edge_count:
                 continue
-            by_degree = first.degree_masks(masks)
+            by_degree = lead.degree_masks(masks)
             if any(p.embed(masks, by_degree, 1 << v) is not None for p in anchored):
                 return True
         return False
