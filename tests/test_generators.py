@@ -180,6 +180,8 @@ def test_complete_bipartite():
     g = complete_bipartite(3, 4)
     assert min_fvs(g).optimum == 2
     assert min_cfvs(g).optimum == 3
+    with pytest.raises(InvalidInputError, match="^complete bipartite sides must be >= 1, got 0, 3$"):
+        complete_bipartite(0, 3)
 
 
 def test_three_p1_witness():
@@ -216,6 +218,8 @@ def test_copies():
     assert g.edges() == ((0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8))
     assert are_isomorphic(2 * cycle(3), tadpole(0, 3) + tadpole(0, 3))
     assert (0 * cycle(3)).n == 0
+    with pytest.raises(InvalidInputError, match="^copy count must be a non-negative integer, got 2.5$"):
+        2.5 * path(3)
 
 
 def test_parse_spec_roundtrips():

@@ -75,6 +75,8 @@ def test_domination_examples():
     assert min_ds(k6).optimum == 1
     assert min_ds(cycle(6)).optimum == 2
     assert min_cds(path(7)).optimum == naive_min_cds(path(7)) == 5
+    with pytest.raises(InvalidInputError, match="^connected dominating set needs a connected graph$"):
+        min_cds(path(2) + path(2))
 
 
 def test_solvers_match_naive_oracles_up_to_7():
@@ -184,6 +186,9 @@ def test_poc_ratio_and_difference():
     assert poc_difference(path(9)) == 0
     with pytest.raises(InvalidInputError):
         poc_ratio(path(4))
+    for price in (poc_ratio, poc_difference):
+        with pytest.raises(InvalidInputError, match="^the connectivity price is defined for connected graphs$"):
+            price(cycle(3) + cycle(3))
 
 
 def test_poc_ratio_and_difference_match_the_two_solvers():
