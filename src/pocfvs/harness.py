@@ -23,6 +23,13 @@ parent representative, and freeness is hereditary: a representative is
 kept iff its parent was kept and no member has an induced copy through
 the last vertex. That keeps exactly the representatives a growth
 restricted to free graphs would find.
+
+``evaluate_graphs`` also keeps each level representative's record for the
+lifetime of the process, so the repeated and overlapping ``max_poc`` calls
+of one process solve and name each level graph once. The record depends on
+the graph alone, and only representatives the level cache holds are kept,
+so this memo never outgrows that cache. A hit still checks the solver
+limit, and raises exactly as a fresh solve would.
 """
 
 from __future__ import annotations
@@ -38,12 +45,14 @@ from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
 from .iso import _copies_through, _search, free_filter
-from .solvers import fvs_and_cfvs
+from .solvers import _guard, fvs_and_cfvs
 
 MAX_ENUMERATION_ORDER = 8
 
 # order -> {representative: its canonical code}, in level order
 _LEVEL_CACHE: dict[int, dict[Graph, int]] = {}
+# level representative -> its evaluate_graphs record
+_RECORDS: dict[Graph, GraphRecord] = {}
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,9 @@ def _orbit_minima(n: int, perms) -> list[int]:
 
 
 def enumerate_connected_upto(n_max: int, forbidden=()) -> list[Graph]:
+    """Levels 1..``n_max`` of :func:`enumerate_connected`, concatenated."""
+    if n_max < 1:
+        raise InvalidInputError(f"order must be >= 1, got {n_max}")
     return [g for level in _free_levels(n_max, forbidden) for g in level]
 
 
@@ -244,18 +256,27 @@ class ExperimentReport:
 def evaluate_graphs(graphs, spec_label: str, limit: int | None = None) -> ExperimentReport:
     """Exact fvs and cfvs of each connected graph, keyed by canonical graph6.
 
-    A graph the level cache holds takes its cached canonical code; any
-    other graph is searched here.
+    A graph the level cache holds takes its cached canonical code, and its
+    record is kept in ``_RECORDS``: a later call reuses it after checking
+    ``limit`` as the solvers would. Any other graph, such as a relabelled
+    copy or a graph read from a file, is searched and solved here on every
+    call and never kept, so the memo holds at most the level cache's graphs.
     """
     report = ExperimentReport(spec=spec_label)
     for g in graphs:
-        if not g.is_connected():
+        rec = _RECORDS.get(g)
+        if rec is not None:
+            _guard(g, limit)
+        elif not g.is_connected():
             continue
-        f, c = fvs_and_cfvs(g, limit)
-        code = _LEVEL_CACHE.get(g.n, {}).get(g)
-        gid = graph6.from_code(g.n, _search(g._masks)[0] if code is None else code)
-        ratio = Fraction(c, f) if f > 0 else None
-        report.records.append(GraphRecord(gid, g.n, f, c, ratio, c - f))
+        else:
+            f, c = fvs_and_cfvs(g, limit)
+            code = _LEVEL_CACHE.get(g.n, {}).get(g)
+            gid = graph6.from_code(g.n, _search(g._masks)[0] if code is None else code)
+            rec = GraphRecord(gid, g.n, f, c, Fraction(c, f) if f > 0 else None, c - f)
+            if code is not None:
+                _RECORDS[g] = rec
+        report.records.append(rec)
     report.records.sort(key=lambda r: (r.order, r.graph_id))
     report.aggregate()
     return report

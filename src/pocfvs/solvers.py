@@ -147,7 +147,9 @@ def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
 
     A leaf, a node with no budget left, tests only whether its mask is
     acyclic. A leaf of round k lies k deep, with n - k vertices, a size no
-    earlier round reaches, so no leaf's mask has a cached cycle.
+    earlier round reaches, so no leaf's mask has a cached cycle. A node with
+    budget b left always holds a cycle: had its mask been a forest, round
+    k - b would have reached it as a leaf and returned.
     """
     _guard(g, limit)
     explored = 0
@@ -165,8 +167,6 @@ def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
         if not budget:
             return [] if g.mask_is_acyclic(mask) else None
         cyc = cycle_of(mask)
-        if cyc is None:
-            return []
         if (mask, budget) in failed:
             return None
         for v in cyc:

@@ -237,10 +237,12 @@ def test_max_poc_takes_level_forms_from_the_cache(monkeypatch):
     assert len(max_poc(EnumerationSpec(n_max=6, forbidden=(claw(),))).records) == 73
 
 
-def test_evaluate_graphs_names_relabelled_graphs_canonically():
-    # relabelled copies miss the level cache and are canonicalised afresh
+def test_evaluate_graphs_names_relabelled_graphs_canonically(monkeypatch):
+    # relabelled copies miss the level cache and are canonicalised afresh,
+    # and only level representatives enter the record memo
     from pocfvs import harness
 
+    monkeypatch.setattr(harness, "_RECORDS", {})
     rnd = random.Random(12)
     copies = []
     for g in enumerate_connected_upto(7):
@@ -252,6 +254,42 @@ def test_evaluate_graphs_names_relabelled_graphs_canonically():
     expected = max_poc(EnumerationSpec(n_max=7))
     report = evaluate_graphs(copies, expected.spec)
     assert report.to_json(None) == expected.to_json(None)
+    assert harness._RECORDS
+    assert all(g in harness._LEVEL_CACHE[g.n] for g in harness._RECORDS)
+
+
+def test_warm_record_memo_reports_are_byte_identical_to_cold(monkeypatch):
+    # the families overlap, so later reports come largely from the memo
+    from pocfvs import harness
+
+    specs = [
+        EnumerationSpec(6, tuple(graph_from_text(s) for s in family.split(";")))
+        for family in ("kbip:4,4", "3C3", "kbip:1,6", "P4;kbip:4,4", "claw;3C3")
+    ]
+    specs += [EnumerationSpec(n) for n in range(1, 8)]
+    warm = [max_poc(spec).to_json(None) for spec in specs]
+    assert len(harness._RECORDS) >= sum(len(harness._LEVEL_CACHE[n]) for n in range(1, 8))
+    for spec, report in zip(specs, warm):
+        monkeypatch.setattr(harness, "_RECORDS", {})
+        assert max_poc(spec).to_json(None) == report
+
+
+def test_record_memo_hits_still_apply_the_limit(monkeypatch):
+    from pocfvs import harness
+
+    def refusal(limit=None):
+        with pytest.raises(ResourceLimitError) as info:
+            max_poc(EnumerationSpec(n_max=6), limit=limit)
+        return str(info.value)
+
+    with monkeypatch.context() as cold:
+        cold.setattr(harness, "_RECORDS", {})
+        expected = refusal(limit=5)
+    assert expected == "graph has 6 vertices, exhaustive limit is 5"
+    max_poc(EnumerationSpec(n_max=6))
+    assert refusal(limit=5) == expected
+    monkeypatch.setenv("POCFVS_LIMIT", "5")
+    assert refusal() == expected
 
 
 def test_orbit_minima_match_the_group_closure():
@@ -269,8 +307,10 @@ def test_enumeration_limits():
         enumerate_connected(10)
     with pytest.raises(ResourceLimitError):
         enumerate_connected(9)
-    with pytest.raises(InvalidInputError):
-        enumerate_connected(0)
+    for bad in (0, -3):
+        for enumerate_ in (enumerate_connected, enumerate_connected_upto):
+            with pytest.raises(InvalidInputError, match=f"^order must be >= 1, got {bad}$"):
+                enumerate_(bad)
     with pytest.raises(ResourceLimitError):
         EnumerationSpec(n_max=12)
     with pytest.raises(ResourceLimitError):
@@ -427,6 +467,8 @@ def test_gprime_experiment():
     assert report.rows[0].cfvs < report.rows[1].cfvs
     assert all(row.butterfly_free for row in report.rows)
     assert "butterfly-free" in report.to_text()
+    with pytest.raises(InvalidInputError, match="^t_max must be >= 1, got 0$"):
+        gprime_experiment(0)
 
 
 def test_graph6_known_encoding():

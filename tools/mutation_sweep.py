@@ -150,6 +150,10 @@ MUTANTS = {
         "if tuple(m & low for m in g._masks[:-1]) in kept and not through(g, n - 1)",
         "if not through(g, n - 1)",
     ),
+    "record-memo-guard": ("harness.py", "_guard(g, limit)", "pass"),
+    "record-memo-relabelled": ("harness.py", "if code is not None:", "if True:"),
+    "upto-order-check": ("harness.py", "if n_max < 1:", "if n_max < 0:"),
+    "result-cut": ("verification.py", "failures[:5]", "failures[:6]"),
 }
 
 # mutants no test can kill, and why
