@@ -10,6 +10,13 @@ neighborhood would give an isomorphic candidate generated earlier. The
 orbit minima come from one union-find per parent: each generator's image
 table is built once and each mask is joined to its images, the least mask
 staying root. A kept candidate's grown masks are the representative.
+Each growth holds one memo for ``iso._least_code`` and drops it at the
+end: a candidate whose root partition is neither discrete nor of twin
+classes is keyed by its code relabelled by that partition, cells
+ascending. Candidates with equal keys coincide after that relabelling, so
+they are isomorphic and share the least code, and only the first runs the
+tree search. The memo changes no
+code and no representative, and one growth's keys are all of one order.
 This growth runs once per order, and its levels are cached for the
 lifetime of the process, keyed by the order alone; the experiment drivers
 lean on that cache heavily. The cache maps each representative to its
@@ -44,7 +51,7 @@ from .cover import ClassificationResult, family_covers_all, structure_profile
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
-from .iso import _copies_through, _search, free_filter
+from .iso import _copies_through, _least_code, _search, free_filter
 from .solvers import _guard, fvs_and_cfvs
 
 MAX_ENUMERATION_ORDER = 8
@@ -90,6 +97,7 @@ def _level(n: int) -> dict[Graph, int]:
         else:
             # code -> masks of the first candidate with it
             seen: dict[int, tuple[int, ...]] = {}
+            memo: dict[int, int] = {}  # for _least_code, this growth only
             base = n - 1
             for g in _level(base):
                 masks = g._masks
@@ -98,7 +106,7 @@ def _level(n: int) -> dict[Graph, int]:
                         *(m | 1 << base if extra >> v & 1 else m for v, m in enumerate(masks)),
                         extra,
                     )
-                    seen.setdefault(_search(grown)[0], grown)
+                    seen.setdefault(_least_code(grown, memo), grown)
             # bytes of the code's set positions from the top sort as the forms'
             # edge lists do, without building those lists
             top = n * (n - 1) // 2 - 1

@@ -31,6 +31,14 @@ alike stays whole unsorted. When the refined root partition is already
 discrete, it is the only leaf, and the search returns it at once. When
 every cell of it is a twin class, the search returns at once too, with
 each cell in ascending order and the transpositions of twins as the group.
+
+Level growth asks only for codes, and many of its candidates are one graph
+under different labels. ``_least_code`` answers a tree search from a memo
+keyed by the code of the graph relabelled by its root partition, each cell
+listed ascending. Equal keys mean the two graphs coincide after that
+relabelling, so they are isomorphic, and the least leaf code is an
+isomorphism invariant: they share it. A memo serves one vertex count,
+since codes of different orders can be equal numerically.
 """
 
 from __future__ import annotations
@@ -289,19 +297,16 @@ def _refine(masks: tuple[int, ...], cells: list[int], split: list[int]) -> list[
     return cells
 
 
-def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
-    """The least leaf code, a vertex order reaching it, and automorphisms found.
+def _root(
+    masks: tuple[int, ...]
+) -> tuple[list[int], tuple[int, ...], list[tuple[int, int]] | None]:
+    """The refined root partition, its vertices cell by cell ascending, and its twin pairs.
 
-    A leaf's code is the upper-triangle adjacency bits of the graph
-    relabelled by its order, row by row. A leaf whose code equals the first
-    or the best leaf's gives an automorphism ``p`` (``v`` maps to ``p[v]``)
-    and sends the search back to where the two paths part; a child in the
-    orbit of an explored sibling under the automorphisms fixing the path is
-    skipped. The automorphisms returned generate the automorphism group.
-
-    When every vertex of each root cell is a twin of its cell's least
-    vertex u (``masks[u]`` and ``masks[v]`` agree off ``{u, v}``), no leaf
-    is visited. Such a cell cannot hold both an adjacent and a
+    The pairs are each vertex of a cell with its cell's least vertex u, or
+    ``None`` when the search does not end at the root. A discrete root is
+    the only leaf, and has no pairs. When every vertex of each root cell is
+    a twin of u (``masks[u]`` and ``masks[v]`` agree off ``{u, v}``), no
+    leaf is visited either. Such a cell cannot hold both an adjacent and a
     non-adjacent twin of u, so it is one twin class. Individualising a twin
     splits no cell, since twins see every other vertex alike, so the first
     leaf lists each cell in ascending order. Every other leaf is its image
@@ -309,6 +314,67 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
     this first leaf. The partition is invariant under automorphisms, so
     the group is the product of each cell's symmetric group, and the
     transpositions (u v) generate it.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    root = _refine(masks, [full], [full]) if n else []
+    if len(root) == n:
+        return root, tuple(c.bit_length() - 1 for c in root), []
+    order = tuple(v for c in root for v in iter_bits(c))
+    pairs = [((c & -c).bit_length() - 1, v) for c in root for v in iter_bits(c & (c - 1))]
+    if all(masks[u] & ~(1 << v) == masks[v] & ~(1 << u) for u, v in pairs):
+        return root, order, pairs
+    return root, order, None
+
+
+def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """The least leaf code, a vertex order reaching it, and automorphisms found.
+
+    A leaf's code is the upper-triangle adjacency bits of the graph
+    relabelled by its order, row by row. At a discrete or twin root
+    (:func:`_root`) the root's order is the answer, and the group is
+    generated by the twin transpositions. Otherwise :func:`_tree` searches.
+    """
+    root, order, pairs = _root(masks)
+    if pairs is None:
+        return _tree(masks, root)
+    auts = []
+    for u, v in pairs:
+        p = list(range(len(masks)))
+        p[u], p[v] = v, u
+        auts.append(tuple(p))
+    return _code(masks, order), order, auts
+
+
+def _least_code(masks: tuple[int, ...], memo: dict[int, int]) -> int:
+    """``_search(masks)[0]``, with tree searches answered from ``memo`` where it can.
+
+    ``memo`` maps the code of a graph relabelled by its root order, cells
+    ascending, to that graph's least code; hold one per vertex count, since
+    codes of different orders can be equal. Equal keys mean the two graphs
+    coincide after relabelling, so they are isomorphic and share the least
+    code, which is an isomorphism invariant.
+    """
+    root, order, pairs = _root(masks)
+    if pairs is not None:
+        return _code(masks, order)
+    key = _code(masks, order)
+    code = memo.get(key)
+    if code is None:
+        code = memo[key] = _tree(masks, root)[0]
+    return code
+
+
+def _tree(
+    masks: tuple[int, ...], root: list[int]
+) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """:func:`_search` below a ``root`` partition that is neither discrete nor of twin classes.
+
+    A leaf whose code equals the first or the best leaf's gives an
+    automorphism ``p`` (``v`` maps to ``p[v]``) and sends the search back to
+    where the two paths part; a child in the orbit of an explored sibling
+    under the automorphisms fixing the path is skipped. The automorphisms
+    returned generate the automorphism group.
     """
     n = len(masks)
     auts: list[tuple[int, ...]] = []
@@ -346,21 +412,6 @@ def _search(masks: tuple[int, ...]) -> tuple[int, tuple[int, ...], list[tuple[in
                 return back
         return len(path)
 
-    full = (1 << n) - 1
-    root = _refine(masks, [full], [full]) if n else []
-    if len(root) == n:  # a discrete root is the only leaf; no automorphism
-        order = tuple(c.bit_length() - 1 for c in root)
-        return _code(masks, order), order, auts
-    # each vertex of a cell with its cell's least vertex; when all are twins,
-    # every cell is a twin class and the first leaf lists each cell ascending
-    pairs = [((c & -c).bit_length() - 1, v) for c in root for v in iter_bits(c & (c - 1))]
-    if all(masks[u] & ~(1 << v) == masks[v] & ~(1 << u) for u, v in pairs):
-        order = tuple(v for c in root for v in iter_bits(c))
-        for u, v in pairs:
-            p = list(range(n))
-            p[u], p[v] = v, u
-            auts.append(tuple(p))
-        return _code(masks, order), order, auts
     visit(root, ())
     code, order, _ = leaves[1]
     return code, order, auts

@@ -134,15 +134,22 @@ def test_move_step_noop_when_u_untouched():
 
 
 def test_move_step_preconditions():
-    g = cycle(6)
-    with pytest.raises(InvalidInputError):
-        move_step(g, {0, 1}, frozenset({0}), {3}, 2)  # z not a component
-    with pytest.raises(InvalidInputError):
-        move_step(g, {0, 1}, frozenset({0, 1}), {1}, 2)  # u meets seed
-    with pytest.raises(InvalidInputError):
-        move_step(g, {0}, frozenset({0}), {2, 3}, 2)  # u not independent
-    with pytest.raises(InvalidInputError):
+    # each case passes every check before its own; z = {0, 1, 2} is a P_3
+    g, z = cycle(6), frozenset({0, 1, 2})
+    with pytest.raises(InvalidInputError, match=r"^the pattern scale must be >= 1, got 0$"):
+        move_step(g, z, z, {4}, 0)
+    with pytest.raises(InvalidInputError, match=r"^move step needs a connected graph$"):
         move_step(path(3) + path(3), {0}, frozenset({0}), set(), 2)
+    with pytest.raises(InvalidInputError, match=r"^input contains an induced 2\*P_3$"):
+        move_step(path(7), {0, 1, 2}, frozenset({0, 1, 2}), {4}, 2)
+    with pytest.raises(InvalidInputError, match="^z must be exactly one component"):
+        move_step(g, {0, 1}, frozenset({0}), {3}, 2)
+    with pytest.raises(InvalidInputError, match=r"^z must contain an induced 1\*P_3$"):
+        move_step(g, {0, 1}, frozenset({0, 1}), {3}, 2)
+    with pytest.raises(InvalidInputError, match="^u must be disjoint from the seed set$"):
+        move_step(g, z, z, {2}, 2)
+    with pytest.raises(InvalidInputError, match="^u must be an independent set$"):
+        move_step(g, z, z, {3, 4}, 2)
     g, seed = tadpole(3, 3), {3, 4, 5}
     for bad in ({6}, {-1}, {2.5}, {"3"}):
         with pytest.raises(InvalidInputError):

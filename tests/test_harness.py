@@ -225,6 +225,61 @@ def test_level_cache_holds_each_canonical_form():
             assert g6mod.from_code(n, code) == encode(canonical_form(h))
 
 
+def test_least_code_matches_the_search_on_every_growth_candidate(monkeypatch):
+    # the candidates are what a cold growth to n = 7 hands _least_code;
+    # relabelled copies are the same graphs after another relabelling, so
+    # they hit the memo entries of their originals or add their own
+    from pocfvs import harness, iso
+
+    candidates = []
+
+    def recording(masks, memo):
+        candidates.append(masks)
+        return iso._least_code(masks, memo)
+
+    monkeypatch.setattr(harness, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(harness, "_least_code", recording)
+    enumerate_connected(7)
+    assert len(candidates) == 4159
+    rng = random.Random(27)
+    shared: dict[int, dict[int, int]] = {}  # one memo per order, as the growth holds
+    for masks in candidates:
+        n = len(masks)
+        code = _search(masks)[0]
+        copy = Graph._from_masks(masks).relabel(rng.sample(range(n), n))._masks
+        assert iso._least_code(masks, {}) == iso._least_code(copy, {}) == code
+        memo = shared.setdefault(n, {})
+        assert iso._least_code(masks, memo) == iso._least_code(copy, memo) == code
+
+
+def test_level_growth_memo_counts(monkeypatch):
+    # a miss adds an entry, a hit answers a tree search from one; the other
+    # candidates end at a discrete or twin root and never reach the memo
+    from pocfvs import harness, iso
+
+    memos: dict[int, dict[int, int]] = {}
+    counts: dict[int, list[int]] = {}
+
+    def counting(masks, memo):
+        n = len(masks)
+        assert memos.setdefault(n, memo) is memo
+        before = len(memo)
+        code = iso._least_code(masks, memo)
+        hits_misses = counts.setdefault(n, [0, 0])
+        if len(memo) > before:
+            hits_misses[1] += 1
+        elif iso._root(masks)[2] is None:
+            hits_misses[0] += 1
+        return code
+
+    enumerate_connected(6)
+    monkeypatch.setattr(harness, "_LEVEL_CACHE", {n: harness._LEVEL_CACHE[n] for n in range(1, 7)})
+    monkeypatch.setattr(harness, "_least_code", counting)
+    enumerate_connected(8)
+    assert counts == {7: [640, 363], 8: [7849, 3864]}
+    assert memos[7] is not memos[8]
+
+
 def test_max_poc_takes_level_forms_from_the_cache(monkeypatch):
     from pocfvs import harness
 
@@ -511,6 +566,10 @@ def test_graph6_header_and_errors(tmp_path):
         decode("BwXYZ")  # bytes past the body
     with pytest.raises(InvalidInputError):
         decode("B~")  # non-zero padding bits
+    with pytest.raises(InvalidInputError, match=r"^invalid graph6 order byte '\\x7f'$"):
+        decode("\x7f")
+    with pytest.raises(InvalidInputError, match=r"^invalid graph6 byte '\\x7f'$"):
+        decode("C\x7f")
     with pytest.raises(InvalidInputError):
         encode(Graph(63))
     with pytest.raises(InvalidInputError):

@@ -94,6 +94,8 @@ def test_mutual_embedding_means_isomorphic():
         for h in catalog:
             if embeds_induced(g, h) and embeds_induced(h, g):
                 assert are_isomorphic(g, h)
+    # equal order and size: the degree sequences (1, 1, 2, 2) and (1, 1, 1, 3) decide
+    assert not are_isomorphic(path(4), complete_bipartite(1, 3))
 
 
 def test_linear_forest():

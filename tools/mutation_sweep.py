@@ -154,6 +154,18 @@ MUTANTS = {
     "record-memo-relabelled": ("harness.py", "if code is not None:", "if True:"),
     "upto-order-check": ("harness.py", "if n_max < 1:", "if n_max < 0:"),
     "result-cut": ("verification.py", "failures[:5]", "failures[:6]"),
+    "criterion-7-equality": ("verification.py", "if f != c:", "if f > c:"),
+    "criterion-9-bound": (
+        "verification.py",
+        "elif len(result) > f + 42:",
+        "elif len(result) > f + 4200:",
+    ),
+    "memo-key-dropped": ("iso.py", "key = _code(masks, order)", "key = _code(masks, order[:-1])"),
+    "memo-key-labelled": (
+        "iso.py",
+        "key = _code(masks, order)",
+        "key = _code(masks, tuple(range(len(masks))))",
+    ),
 }
 
 # mutants no test can kill, and why
