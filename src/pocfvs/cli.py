@@ -164,6 +164,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_connectify(args) -> int:
+    if args.method == "paths" and args.s is not None:
+        raise InvalidInputError("--s applies to --method p5 and sp3 only")
     g = load_graph(args.source)
     if args.method == "paths":
         seed = min_fvs(g).witness

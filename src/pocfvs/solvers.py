@@ -13,6 +13,13 @@ exhaustive search whose optimality follows from its search order alone:
   hands the walk a test that skips a run of candidates sharing a prefix
   when none of them can be a connected FVS; the skipped sets are still
   counted, so the witness and ``explored`` are those of the full walk.
+  The test is told how many vertices the prefix still needs and applies
+  two bounds. A connected set through the prefix meets every BFS layer,
+  taken from the prefix's least vertex, up to its farthest vertex, and
+  each layer holding no prefix vertex costs one more vertex: so the set
+  lies in the layers before the first that would overspend. And every
+  cycle the prefix misses must be hit there, so those layers must leave a
+  forest behind.
 * The public ``min_cfvs`` walks from the empty set, so its ``explored``
   counts every set it passes. Callers that already hold fvs(G)
   (``poc_ratio``, ``poc_difference`` and the harness drivers) start the
@@ -28,7 +35,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, count, repeat
 from math import comb
 
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
@@ -43,15 +50,21 @@ def default_limit() -> int:
     if raw is None:
         return DEFAULT_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise InvalidInputError(f"{_LIMIT_ENV} must be an integer, got {raw!r}") from None
+    if limit < 0:
+        raise InvalidInputError(f"{_LIMIT_ENV} must be >= 0, got {limit}")
+    return limit
 
 
 def _guard(g: Graph, limit: int | None) -> None:
-    cap = default_limit() if limit is None else limit
-    if g.n > cap:
-        raise ResourceLimitError(f"graph has {g.n} vertices, exhaustive limit is {cap}")
+    if limit is None:
+        limit = default_limit()
+    elif limit < 0:
+        raise InvalidInputError(f"the vertex limit must be >= 0, got {limit}")
+    if g.n > limit:
+        raise ResourceLimitError(f"graph has {g.n} vertices, exhaustive limit is {limit}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,9 @@ def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
     acyclic. A leaf of round k lies k deep, with n - k vertices, a size no
     earlier round reaches, so no leaf's mask has a cached cycle. A node with
     budget b left always holds a cycle: had its mask been a forest, round
-    k - b would have reached it as a leaf and returned.
+    k - b would have reached it as a leaf and returned. Round k tries every
+    set of k vertices that hits each branching cycle, and ``failed`` skips
+    only subtrees already tried, so round fvs(g) <= n returns.
     """
     _guard(g, limit)
     explored = 0
@@ -176,11 +191,10 @@ def min_fvs(g: Graph, limit: int | None = None) -> SolveResult:
         failed.add((mask, budget))
         return None
 
-    for k in range(g.n + 1):
+    for k in count():
         found = search(g.full_mask, k)
         if found is not None:
             return SolveResult(k, frozenset(found), explored)
-    raise ContradictionError("removing all vertices must leave a forest")
 
 
 # a subtree of fewer sets than this is tried set by set: a viability test
@@ -194,11 +208,13 @@ def first_subset(universe_mask: int, accept, start: int = 0, viable=None):
 
     Subsets go by size from ``start``, lexicographically within a size: one
     depth-first walk over the prefixes of that order. ``viable(chosen,
-    excluded)``, if given, may cut a prefix off. ``chosen`` masks the prefix,
-    ``excluded`` every earlier universe vertex left out of it, and it may
-    return False only when no accepted set holds ``chosen`` and avoids
-    ``excluded``. Such a subtree is counted, not tried. Subtrees of fewer
-    than ``_PLAIN_BELOW`` sets are always tried set by set.
+    excluded, need)``, if given, may cut a prefix off. ``chosen`` masks the
+    prefix, ``excluded`` every earlier universe vertex left out of it, and
+    ``need`` is how many more vertices each set below the prefix adds. It
+    may return False only when no accepted set holds ``chosen``, avoids
+    ``excluded`` and has ``need`` more vertices. Such a subtree is counted,
+    not tried. Subtrees of fewer than ``_PLAIN_BELOW`` sets are always tried
+    set by set.
 
     Returns the accepted mask, or ``None``, together with the number of sets
     passed, tried or counted: exactly the sets the plain walk would try.
@@ -217,7 +233,7 @@ def first_subset(universe_mask: int, accept, start: int = 0, viable=None):
                 if accept(m):
                     return m
             return None
-        if chosen and not viable(chosen, excluded):
+        if chosen and not viable(chosen, excluded, need):
             explored += size
             return None
         for j in range(lo, n - need + 1):
@@ -251,18 +267,38 @@ def _cfvs_walk(g: Graph, start: int) -> tuple[int, int]:
 
     ``g`` must be connected and already guarded. Any ``start`` up to fvs(g)
     returns the same mask, since no smaller set is an FVS.
+
+    The viability test cuts a prefix when an accepted set S below it cannot
+    exist. S is connected, holds ``chosen``, avoids ``excluded`` and adds
+    ``need`` vertices, so it lies in K, the component of chosen's least
+    vertex in G - excluded, and G - K is a forest. A BFS inside G - excluded
+    from that vertex has K as its union. S has a vertex in every layer up
+    to its farthest one, and each of those layers that holds no chosen
+    vertex costs one of the ``need``. At the first layer t where such
+    layers number more than ``need``, S lies in ``below``, the layers before
+    t: chosen must too, and every cycle of G - chosen must be hit inside
+    ``below``, so G - below is a forest. That test implies the two on K,
+    and the BFS stops there. The cut never fires on a prefix of the full
+    set: its unchosen vertices are all of ``need``, and layers are disjoint.
     """
     full = g.full_mask
-
-    def viable(chosen: int, excluded: int) -> bool:
-        # an accepted set below this prefix is connected, holds ``chosen``
-        # and avoids ``excluded``, so it lies inside the component K of
-        # chosen's least vertex in G - excluded, and G - K is a forest
-        least = (chosen & -chosen).bit_length() - 1
-        k = g.mask_component(least, full & ~excluded)
-        return not chosen & ~k and g.mask_is_acyclic(full & ~k)
-
     masks = g._masks
+
+    def viable(chosen: int, excluded: int, need: int) -> bool:
+        # an accepted set lies in ``seen``: K, or ``below`` when the BFS
+        # stops at the first layer it cannot afford (see the docstring)
+        seen = layer = chosen & -chosen
+        rest = full & ~excluded & ~seen  # not reached yet
+        cost = 0
+        while layer:
+            layer = g.mask_reach(layer) & rest
+            if layer and not layer & chosen:
+                cost += 1
+                if cost > need:
+                    break
+            rest ^= layer
+            seen |= layer
+        return not chosen & ~seen and g.mask_is_acyclic(full & ~seen)
 
     def accept(c: int) -> bool:
         # Graph.mask_is_connected's traversal, inlined: on the walk's small
@@ -289,9 +325,8 @@ def min_ds(g: Graph, limit: int | None = None) -> SolveResult:
     """Minimum dominating set."""
     _guard(g, limit)
     full = g.full_mask
+    # no viability test, so the walk reaches the full set, which dominates
     m, explored = first_subset(full, lambda c: c | g.mask_reach(c) == full)
-    if m is None:
-        raise ContradictionError("the full vertex set always dominates")
     return SolveResult(m.bit_count(), frozenset(iter_bits(m)), explored)
 
 
@@ -301,11 +336,11 @@ def min_cds(g: Graph, limit: int | None = None) -> SolveResult:
     if not g.is_connected():
         raise InvalidInputError("connected dominating set needs a connected graph")
     full = g.full_mask
+    # no viability test, so the walk reaches the full set, which is connected
+    # and dominates
     m, explored = first_subset(
         full, lambda c: c | g.mask_reach(c) == full and g.mask_is_connected(c), start=1
     )
-    if m is None:
-        raise ContradictionError("a connected graph is its own connected dominating set")
     return SolveResult(m.bit_count(), frozenset(iter_bits(m)), explored)
 
 

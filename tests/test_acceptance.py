@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from pocfvs import verification
+from pocfvs import butterfly, hourglass_chain, verification
 from pocfvs.verification import CRITERIA, CheckResult, _result
 
 
@@ -30,6 +30,31 @@ def test_result_shows_the_first_five_failures_and_counts_the_rest():
     assert _result("demo", seven, "all fine") == CheckResult(
         "demo", False, "bad 0; bad 1; bad 2; bad 3; bad 4 (+2 more)"
     )
+
+
+def _cfvs_one_too_many_on(monkeypatch, target):
+    """Make ``verification.min_cfvs`` answer one above the optimum on ``target`` only."""
+    real = verification.min_cfvs
+
+    def one_too_many(g):
+        res = real(g)
+        return replace(res, optimum=res.optimum + 1) if g == target else res
+
+    monkeypatch.setattr(verification, "min_cfvs", one_too_many)
+
+
+def test_butterfly_values_fail_on_a_wrong_cfvs(monkeypatch):
+    _cfvs_one_too_many_on(monkeypatch, butterfly(4, 5, 2))
+    result = verification.check_butterfly_values()
+    assert result.passed is False
+    assert result.detail.split("; ")[0] == "cfvs(B_{4,5,2}) = 4, expected 3"
+
+
+def test_hourglass_chain_values_fail_on_a_wrong_cfvs(monkeypatch):
+    _cfvs_one_too_many_on(monkeypatch, hourglass_chain(2))
+    result = verification.check_hourglass_chain_values()
+    assert result.passed is False
+    assert result.detail.split("; ")[0] == "cfvs(L_2) = 6, expected 5"
 
 
 def test_p3_free_equality_fails_on_a_wrong_cfvs(monkeypatch):

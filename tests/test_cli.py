@@ -251,6 +251,11 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("connectify", "kbip:3,4", "--method", "sp3", "--trace", str(tmp_path / "no" / "t.json")),
         ("explore", "--n-max", "3", "--out", str(tmp_path / "no" / "r.json")),
         ("classify", "C3", "--witnesses", "-5"),
+        ("solve", "C5", "--limit", "-1"),
+        ("explore", "--n-max", "3", "--limit", "-1"),
+        # --s sets the scale of p5 and sp3 only
+        ("connectify", "C5", "--method", "paths", "--s", "-3"),
+        ("connectify", "C5", "--method", "paths", "--s", "7"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -278,6 +283,17 @@ def test_resource_limit_exit_code(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "", argv
         assert err.startswith("resource limit") and err.count("\n") == 1, argv
+
+
+def test_negative_limits_are_input_errors(capsys, monkeypatch):
+    code, out, err = run(capsys, "solve", "C5", "--limit", "-1")
+    assert (code, out, err) == (2, "", "input error: the vertex limit must be >= 0, got -1\n")
+    monkeypatch.setenv("POCFVS_LIMIT", "-4")
+    code, out, err = run(capsys, "solve", "C5")
+    assert (code, out, err) == (2, "", "input error: POCFVS_LIMIT must be >= 0, got -4\n")
+    monkeypatch.setenv("POCFVS_LIMIT", "0")
+    code, _, err = run(capsys, "solve", "C5")
+    assert code == 3 and "exhaustive limit is 0" in err
 
 
 def test_connectify_limit_comes_from_the_environment(capsys, monkeypatch):

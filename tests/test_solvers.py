@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pocfvs import (
+    ContradictionError,
     Graph,
     InvalidInputError,
     ResourceLimitError,
@@ -20,6 +21,7 @@ from pocfvs import (
     spider,
     tadpole,
 )
+from pocfvs import solvers
 from pocfvs.graph import iter_bits
 from pocfvs.harness import enumerate_connected, enumerate_connected_upto
 from pocfvs.solvers import (
@@ -215,6 +217,13 @@ def test_cfvs_walk_from_fvs_finds_the_same_witness():
             assert tried_from_fvs <= tried_from_zero
 
 
+def test_cfvs_walk_guard_trips_without_a_connected_fvs():
+    # the walk trusts its caller to pass a connected graph; two triangles
+    # have no connected FVS, so no set is accepted
+    with pytest.raises(ContradictionError, match="^the full vertex set is always a connected FVS$"):
+        _cfvs_walk(cycle(3) + cycle(3), 0)
+
+
 def test_resource_limit_and_env(monkeypatch):
     big = path(25)
     with pytest.raises(ResourceLimitError):
@@ -225,6 +234,13 @@ def test_resource_limit_and_env(monkeypatch):
     monkeypatch.setenv("POCFVS_LIMIT", "asdf")
     with pytest.raises(InvalidInputError):
         min_fvs(big)
+    # a negative limit is refused before any graph is measured against it
+    monkeypatch.setenv("POCFVS_LIMIT", "-4")
+    with pytest.raises(InvalidInputError, match="^POCFVS_LIMIT must be >= 0, got -4$"):
+        min_fvs(Graph(0))
+    for solver in (min_fvs, min_cfvs, min_ds, min_cds, poc_difference):
+        with pytest.raises(InvalidInputError, match="^the vertex limit must be >= 0, got -1$"):
+            solver(cycle(5), limit=-1)
 
 
 def test_empty_and_tiny_graphs():
@@ -353,6 +369,43 @@ def test_cfvs_walks_are_byte_stable_on_large_witness_graphs():
     assert digests == WALK_DIGESTS
 
 
+def _count_tries(monkeypatch):
+    """Count the sets ``accept`` is called on in every subset walk from here on."""
+    tried = [0]
+    real = solvers.first_subset
+
+    def counting(universe_mask, accept, start=0, viable=None):
+        def counted(m):
+            tried[0] += 1
+            return accept(m)
+
+        return real(universe_mask, counted, start, viable)
+
+    monkeypatch.setattr(solvers, "first_subset", counting)
+    return tried
+
+
+# the sets the walks try on _walk_corpus(); the walks pass 500,398 and
+# 499,377 sets. A cut that stops firing leaves every digest above unchanged
+# and shows only here
+WALK_TRIES = {"min_cfvs": 21464, "from fvs": 20524}
+
+
+def test_cfvs_walk_cuts_keep_firing_on_large_witness_graphs(monkeypatch):
+    corpus = _walk_corpus()
+    tried = _count_tries(monkeypatch)
+    counts = {}
+    for name, walk in (
+        ("min_cfvs", min_cfvs),
+        ("from fvs", lambda g: _cfvs_walk(g, min_fvs(g).optimum)),
+    ):
+        tried[0] = 0
+        for g in corpus:
+            walk(g)
+        counts[name] = tried[0]
+    assert counts == WALK_TRIES
+
+
 # sha256 of min_fvs's (optimum, sorted witness, explored) on every connected
 # graph with n <= 8 and on the query mix's witness graphs (K_{3,l} up to
 # l = 15), as the reference implementation returned them
@@ -393,3 +446,53 @@ def test_cfvs_walk_matches_the_plain_walk(g):
     assert (g.vertex_mask(res.witness), res.explored) == plain_cfvs_walk(g, 0)
     f = min_fvs(g).optimum
     assert _cfvs_walk(g, f) == plain_cfvs_walk(g, f)
+
+
+def _sparse_corpus(count=60):
+    """Seeded sparse graphs, n = 10..16: cycles joined by paths, then pendant trees.
+
+    Cycles of 3 to 5 new vertices follow one another, each joined to the end
+    of the last and followed by a path of up to two new vertices, until two
+    thirds of the drawn order are placed; each later vertex hangs from a
+    random earlier one. The labels are shuffled.
+    """
+    rng = random.Random(2)
+    out = []
+    for _ in range(count):
+        n = rng.randint(10, 16)
+        edges = []
+        size = 0
+        while size < 2 * n // 3:
+            length = rng.randint(3, 5)
+            if size:
+                edges.append((size - 1, size))
+            edges += [(v, v + 1) for v in range(size, size + length - 1)]
+            edges.append((size, size + length - 1))
+            size += length
+            for _ in range(rng.randint(0, 2)):
+                edges.append((size - 1, size))
+                size += 1
+        while size < n:
+            edges.append((rng.randrange(size), size))
+            size += 1
+        order = list(range(size))
+        rng.shuffle(order)
+        out.append(Graph(size, edges).relabel(order))
+    return out
+
+
+def test_cfvs_walk_matches_the_plain_walk_where_the_cut_fires(monkeypatch):
+    # sparse graphs with long cycles far apart, where the layer and cycle
+    # bounds cut most prefixes; the random graphs above are dense
+    corpus = _sparse_corpus()
+    assert {g.n for g in corpus} == set(range(10, 17))
+    tried = _count_tries(monkeypatch)
+    passed = 0
+    for g in corpus:
+        res = min_cfvs(g)
+        assert (g.vertex_mask(res.witness), res.explored) == plain_cfvs_walk(g, 0)
+        f = min_fvs(g).optimum
+        walk = _cfvs_walk(g, f)
+        assert walk == plain_cfvs_walk(g, f)
+        passed += res.explored + walk[1]
+    assert tried[0] < passed

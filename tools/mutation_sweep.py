@@ -134,6 +134,15 @@ MUTANTS = {
     "acyclic-parent-test": ("graph.py", "if seen & (seen - 1):", "if seen.bit_count() > 2:"),
     "component-mask": ("graph.py", "rest = mask & ~todo", "rest = ~todo"),
     "cfvs-accept-connected": ("solvers.py", "if rest:", "if rest & (rest - 1):"),
+    # the walk's layer bound: over-cutting moves witnesses, and a bound that
+    # never fires moves only the count of sets tried
+    "cfvs-layer-strict": ("solvers.py", "if cost > need:", "if cost >= need:"),
+    "cfvs-cycle-cut-dropped": (
+        "solvers.py",
+        "if cost > need:\n                    break",
+        "if cost > need:\n                    return False",
+    ),
+    "cfvs-layer-cut-off": ("solvers.py", "if cost > need:", "if cost > need and False:"),
     "fvs-leaf-forest": (
         "solvers.py",
         "return [] if g.mask_is_acyclic(mask) else None",
@@ -154,6 +163,8 @@ MUTANTS = {
     "record-memo-relabelled": ("harness.py", "if code is not None:", "if True:"),
     "upto-order-check": ("harness.py", "if n_max < 1:", "if n_max < 0:"),
     "result-cut": ("verification.py", "failures[:5]", "failures[:6]"),
+    "criterion-1-equality": ("verification.py", "if c != k + 1:", "if c < k + 1:"),
+    "criterion-2-equality": ("verification.py", "if c != 2 * k + 1:", "if c < 2 * k + 1:"),
     "criterion-7-equality": ("verification.py", "if f != c:", "if f > c:"),
     "criterion-9-bound": (
         "verification.py",
