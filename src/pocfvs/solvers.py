@@ -214,7 +214,11 @@ def first_subset(universe_mask: int, accept, start: int = 0, viable=None):
     may return False only when no accepted set holds ``chosen``, avoids
     ``excluded`` and has ``need`` more vertices. Such a subtree is counted,
     not tried. Subtrees of fewer than ``_PLAIN_BELOW`` sets are always tried
-    set by set.
+    set by set. The connected-FVS walk spends ``need`` on two bounds: a
+    connected set through the prefix pays one vertex for each BFS layer
+    without a prefix vertex that it crosses, so it stays within the layers
+    it can afford, and every cycle the prefix misses must be hit inside
+    them. :func:`_cfvs_walk` gives the argument.
 
     Returns the accepted mask, or ``None``, together with the number of sets
     passed, tried or counted: exactly the sets the plain walk would try.
@@ -278,8 +282,9 @@ def _cfvs_walk(g: Graph, start: int) -> tuple[int, int]:
     layers number more than ``need``, S lies in ``below``, the layers before
     t: chosen must too, and every cycle of G - chosen must be hit inside
     ``below``, so G - below is a forest. That test implies the two on K,
-    and the BFS stops there. The cut never fires on a prefix of the full
-    set: its unchosen vertices are all of ``need``, and layers are disjoint.
+    and the BFS stops there. No prefix of the full set is cut: there
+    ``excluded`` is empty, every vertex outside ``chosen`` is one of the
+    ``need``, and the counted layers are disjoint sets of such vertices.
     """
     full = g.full_mask
     masks = g._masks
