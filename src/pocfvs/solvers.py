@@ -18,8 +18,8 @@ exhaustive search whose optimality follows from its search order alone:
   taken from the prefix's least vertex, up to its farthest vertex, and
   each layer holding no prefix vertex costs one more vertex: so the set
   lies in the layers before the first that would overspend. And every
-  cycle the prefix misses must be hit there, so those layers must leave a
-  forest behind.
+  cycle the prefix misses must be hit there, so removing those layers
+  must leave a forest.
 * The public ``min_cfvs`` walks from the empty set, so its ``explored``
   counts every set it passes. Callers that already hold fvs(G)
   (``poc_ratio``, ``poc_difference`` and the harness drivers) start the
