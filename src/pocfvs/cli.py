@@ -118,11 +118,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.pattern2 is not None and args.witnesses is not None:
+        raise InvalidInputError("--witnesses applies to one pattern only")
     h1 = load_graph(args.pattern)
     if args.pattern2 is None:
         res = tetrachotomy_classify(h1)
+        count = 3 if args.witnesses is None else args.witnesses
         # witnesses first, so a refused run prints nothing
-        witnesses = unboundedness_witnesses(h1, args.witnesses) if res.uncovered_pair else []
+        witnesses = unboundedness_witnesses(h1, count) if res.uncovered_pair else []
         print(f"{args.pattern}: {res.verdict}")
         print(f"reason: {res.reason}")
         if res.constant is not None:
@@ -184,6 +187,8 @@ def _cmd_connectify(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    if args.g6_in and args.n_max is not None:
+        raise InvalidInputError("--n-max applies without --g6-in only")
     forbidden = ()
     if args.forbid is not None:
         forbidden = tuple(load_family(args.forbid))
@@ -198,8 +203,8 @@ def _cmd_explore(args) -> int:
             label += f", forbidding {len(forbidden)} pattern(s)"
         report = evaluate_graphs(graphs, label, args.limit)
     else:
-        spec = EnumerationSpec(n_max=args.n_max, forbidden=forbidden)
-        report = max_poc(spec, args.limit)
+        n_max = 6 if args.n_max is None else args.n_max
+        report = max_poc(EnumerationSpec(n_max=n_max, forbidden=forbidden), args.limit)
     stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
     if args.out:
         _write(args.out, report.to_json(stamp))
@@ -282,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern")
     p.add_argument("pattern2", nargs="?", default=None)
     p.add_argument(
-        "--witnesses", type=int, default=3, help="butterfly witnesses printed for class iv only"
+        "--witnesses", type=int, default=None, help="butterfly witnesses for class iv (default 3)"
     )
     p.set_defaults(func=_cmd_classify)
 
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_connectify)
 
     p = sub.add_parser("explore", help="ratio/difference experiment report")
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=int, default=None, help="default 6; not with --g6-in")
     p.add_argument("--forbid", default=None)
     p.add_argument("--g6-in", default=None)
     p.add_argument("--out", default=None)

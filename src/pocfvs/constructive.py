@@ -148,8 +148,6 @@ def connectify_by_paths(g: Graph, s) -> tuple[frozenset[int], ProcedureTrace]:
         out |= route
         trace.record("join", note=f"anchor to {y}", path=route)
     trace.checkpoint(g, out, "joined")
-    if not is_cfvs(g, iter_bits(out)):
-        raise ContradictionError("path union failed to connect the seed set")
     trace.finish(out, bound)
     return frozenset(iter_bits(out)), trace
 
@@ -230,8 +228,6 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
         out = f | core
         bound = fvs_res.optimum + p5sp1_constant(s_param)
     trace.checkpoint(g, out, "fvs-plus-core")
-    if not is_cfvs(g, iter_bits(out)):
-        raise ContradictionError("the dominating core failed to connect the set")
     trace.finish(out, bound)
     return frozenset(iter_bits(out)), trace
 
@@ -287,22 +283,20 @@ def move_step(
         raise InvalidInputError("u must be disjoint from the seed set")
     if g.mask_reach(u_mask) & u_mask:
         raise InvalidInputError("u must be an independent set")
-    seed_is_fvs = g.mask_is_acyclic(g.full_mask & ~s_mask)
     trace = ProcedureTrace("move-step", g.n)
-    moved = _move_step(g, s_mask, z_mask, u_mask, s_param, seed_is_fvs, trace)
+    moved = _move_step(g, s_mask, z_mask, u_mask, s_param, trace)
     trace.finish(moved, s_mask.bit_count() + 2 * s_param - 2)
     return frozenset(iter_bits(moved)), trace
 
 
 def _move_step(
-    g: Graph, s_mask: int, z_mask: int, u_mask: int, s_param: int, seed_is_fvs: bool,
-    trace: ProcedureTrace,
+    g: Graph, s_mask: int, z_mask: int, u_mask: int, s_param: int, trace: ProcedureTrace
 ) -> int:
     """Core of :func:`move_step` on vertex masks: records into ``trace`` and
-    returns the grown set. Trusts the caller to meet its preconditions and
-    to say whether the seed is an FVS."""
+    returns the grown set. Trusts the caller to meet its preconditions."""
     anchor = next(iter_bits(z_mask))
     s_cur = s_mask
+    seed_is_fvs = g.mask_is_acyclic(g.full_mask & ~s_mask)
 
     def note_growth(stage: str) -> None:
         # only sets grown from an FVS seed are FVSs, and only they are checkpointed
@@ -338,9 +332,6 @@ def _move_step(
         note_growth("after-u2")
 
         remaining = [c for c in comps_a if not c & g.mask_reach(u2)]
-        for c in remaining:
-            if c not in a1:
-                raise ContradictionError("an unabsorbed component is not private to the cover")
         u3 = u_mask & ~u1
         a3 = [c for c in remaining if c & g.mask_reach(u3)]
         u4 = _min_cover(g, u3, a3)
@@ -360,8 +351,6 @@ def _move_step(
                 continue
             owners = [u for u in iter_bits(u1 & ~u2) if g.mask(u) & c]
             helpers = [u for u in iter_bits(u4 & ~w_set) if g.mask(u) & c]
-            if not owners or not helpers:
-                raise ContradictionError("a private component lost its two-sided attachment")
             candidates = [v for v in sorted(owners + helpers) if g.mask(v) & z_now]
             if not candidates:
                 raise ContradictionError(
@@ -378,10 +367,9 @@ def _move_step(
     else:
         trace.record("noop", note="no outside component touches u")
 
-    # verify the contract; the growth is at most 2s - 2, as u2 and w are capped above
+    # every added vertex touched the hub when added, and u2 and w are capped
+    # above, so the growth is at most 2s - 2; verify the other two promises
     z_final = g.mask_component(anchor, s_cur)
-    if (z_mask | (s_cur & ~s_mask)) & ~z_final:
-        raise ContradictionError("an added vertex fell outside the hub component")
     u_left = u_mask & ~s_cur
     side = [c for c in g.mask_components(s_cur) if c != z_final]
     for u in iter_bits(u_left):
@@ -503,8 +491,7 @@ def _sp3_pipeline(
 
     for name, u_mask in (("u1", u1), ("u2", u2)):
         z_now = g.mask_component(anchor, s_cur)
-        # s_cur was checkpointed as an FVS, and supersets of an FVS are FVSs
-        moved = _move_step(g, s_cur, z_now, u_mask, s_param, True, trace)
+        moved = _move_step(g, s_cur, z_now, u_mask, s_param, trace)
         trace.record(f"move-{name}", added=moved & ~s_cur)
         s_cur = moved
     trace.checkpoint(g, s_cur, "after-moves")
@@ -527,12 +514,6 @@ def _sp3_pipeline(
         trace.record("absorb-outside", component=comp, added=fresh)
     trace.checkpoint(g, s_cur, "after-absorb")
 
-    claimed = fvs_res.optimum + sp3_constant(s_param)
-    if s_cur.bit_count() > claimed:
-        raise ContradictionError(
-            f"pipeline size {s_cur.bit_count()} exceeds the certified bound {claimed}"
-        )
-
     # swap one vertex per leftover component into its outside clique; y
     # touches the hub and N[x] is inside N[y], so the rest of x's component
     # joins the hub through y and each swap removes one component
@@ -549,7 +530,5 @@ def _sp3_pipeline(
         trace.record_swap(g, x_candidate, y)
         s_cur = (s_cur & ~(1 << x_candidate)) | (1 << y)
         trace.checkpoint(g, s_cur, f"after-swap-{x_candidate}-{y}")
-    if not is_cfvs(g, iter_bits(s_cur)):
-        raise ContradictionError("the pipeline did not produce a connected FVS")
     trace.record("done", result=s_cur)
     return s_cur

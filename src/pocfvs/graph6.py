@@ -20,8 +20,6 @@ _COLUMNS: dict[int, tuple[int, ...]] = {}  # n -> each pair's bit in a row-by-ro
 
 
 def encode(g: Graph) -> str:
-    if g.n > 62:
-        raise InvalidInputError(f"graph6 support here stops at 62 vertices, got {g.n}")
     return from_code(g.n, _code(g._masks, tuple(range(g.n))))
 
 

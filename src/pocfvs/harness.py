@@ -393,16 +393,6 @@ class SubdivisionRow:
 class SubdivisionReport:
     rows: list[SubdivisionRow]
 
-    def to_text(self) -> str:
-        lines = ["uniform subdivision of the doubled triangle",
-                 f"{'t':>3} {'n':>4} {'fvs':>4} {'cfvs':>5} {'butterfly-free':>15}"]
-        for row in self.rows:
-            lines.append(
-                f"{row.t:>3} {row.order:>4} {row.fvs:>4} {row.cfvs:>5} "
-                f"{str(row.butterfly_free):>15}"
-            )
-        return "\n".join(lines)
-
 
 def _small_butterflies(max_order: int) -> list[Graph]:
     out = []

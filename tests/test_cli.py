@@ -114,6 +114,14 @@ def test_classify_pair(capsys):
     assert out.splitlines() == ["(C3+500P1, 2claw): bounded", reason]
 
 
+def test_classify_refuses_witnesses_with_two_patterns(capsys):
+    code, out, err = run(capsys, "classify", "C4", "claw", "--witnesses", "2")
+    assert (code, out, err) == (2, "", "input error: --witnesses applies to one pattern only\n")
+    # one pattern still prints three witnesses by default
+    code, out, _ = run(capsys, "classify", "C3")
+    assert code == 0 and out.count("witness n=") == 3
+
+
 def test_classify_family(capsys):
     code, out, _ = run(capsys, "classify-family", "C3;2claw")
     assert code == 0
@@ -185,6 +193,13 @@ def test_explore_rejects_an_empty_family(capsys):
     code, out, err = run(capsys, "explore", "--n-max", "3", "--forbid", ";")
     assert code == 2 and out == ""
     assert err == "input error: the family must be nonempty\n"
+
+
+def test_explore_refuses_n_max_with_a_graph6_corpus(capsys, tmp_path):
+    corpus = tmp_path / "in.g6"
+    corpus.write_text("Bw\n")
+    code, out, err = run(capsys, "explore", "--g6-in", str(corpus), "--n-max", "4")
+    assert (code, out, err) == (2, "", "input error: --n-max applies without --g6-in only\n")
 
 
 def test_explore_g6_symmetric_graph(capsys, tmp_path):

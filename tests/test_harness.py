@@ -521,7 +521,6 @@ def test_gprime_experiment():
     assert [row.fvs for row in report.rows] == [2, 2]
     assert report.rows[0].cfvs < report.rows[1].cfvs
     assert all(row.butterfly_free for row in report.rows)
-    assert "butterfly-free" in report.to_text()
     with pytest.raises(InvalidInputError, match="^t_max must be >= 1, got 0$"):
         gprime_experiment(0)
 
@@ -550,7 +549,7 @@ def test_graph6_matches_networkx():
         back = nx.from_graph6_bytes(line.encode())  # g itself when the line is right
         assert decode(line) == Graph(back.number_of_nodes(), back.edges()) == g
         assert nx.to_graph6_bytes(back, header=False) == f"{line}\n".encode()
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^graph6 support here stops at 62 vertices, got 63$"):
         encode(path(63))
 
 

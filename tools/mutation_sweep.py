@@ -80,6 +80,12 @@ MUTANTS = {
         'connectification needs a connected graph")\n'
         "    if _p3_copies(s_param).find(g) is not None and False:",
     ),
+    # move_step's non-FVS seeds must be recorded, not checkpointed
+    "move-seed-flag": (
+        "constructive.py",
+        "seed_is_fvs = g.mask_is_acyclic(g.full_mask & ~s_mask)",
+        "seed_is_fvs = True",
+    ),
     "checkpoint-fvs-test": (
         "constructive.py",
         "if not g.mask_is_acyclic(g.full_mask & ~mask):",
@@ -165,12 +171,47 @@ MUTANTS = {
     "result-cut": ("verification.py", "failures[:5]", "failures[:6]"),
     "criterion-1-equality": ("verification.py", "if c != k + 1:", "if c < k + 1:"),
     "criterion-2-equality": ("verification.py", "if c != 2 * k + 1:", "if c < 2 * k + 1:"),
+    # criterion 3 compares (fvs, cfvs) twice; the next line makes each unique
+    "criterion-3-bipartite": (
+        "verification.py",
+        'if (f, c) != (2, 3):\n            failures.append(f"K_',
+        'if f != 2:\n            failures.append(f"K_',
+    ),
+    "criterion-3-witness": (
+        "verification.py",
+        'if (f, c) != (2, 3):\n        failures.append(f"three_p1',
+        'if f != 2:\n        failures.append(f"three_p1',
+    ),
+    "criterion-4-equality": ("verification.py", "if expect != got:", "if expect and not got:"),
+    "criterion-5-equality": (
+        "verification.py",
+        "if res.bounded != expect_bounded:",
+        "if res.bounded and not expect_bounded:",
+    ),
+    "criterion-6-equality": ("verification.py", "if got != expected:", "if got not in expected:"),
     "criterion-7-equality": ("verification.py", "if f != c:", "if f > c:"),
+    "criterion-8-bound": (
+        "verification.py",
+        "elif len(result) > f + 3:",
+        "elif len(result) > f + 4:",
+    ),
     "criterion-9-bound": (
         "verification.py",
         "elif len(result) > f + 42:",
         "elif len(result) > f + 4200:",
     ),
+    "criterion-10-bound": (
+        "verification.py",
+        "elif len(result) > bridge * f_res.optimum:",
+        "elif len(result) > bridge * f_res.optimum + 1:",
+    ),
+    "criterion-11-equality": ("verification.py", "if (f, c) != (2, k + 1):", "if f != 2:"),
+    "criterion-12-raise": (
+        "verification.py",
+        'return CheckResult("subdivided-triangle-family", False, str(exc))',
+        'return CheckResult("subdivided-triangle-family", True, str(exc))',
+    ),
+    "criterion-13-bound": ("verification.py", "if cds > 3 * ds - 2:", "if cds > 3 * ds - 1:"),
     "memo-key-dropped": ("iso.py", "key = _code(masks, order)", "key = _code(masks, order[:-1])"),
     "memo-key-labelled": (
         "iso.py",
