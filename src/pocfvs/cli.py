@@ -123,6 +123,11 @@ def _cmd_classify(args) -> int:
     h1 = load_graph(args.pattern)
     if args.pattern2 is None:
         res = tetrachotomy_classify(h1)
+        if args.witnesses is not None and res.verdict != "class-iv":
+            raise InvalidInputError(
+                f"--witnesses applies to class-iv patterns only, "
+                f"{_shown(args.pattern)} is {res.verdict}"
+            )
         count = 3 if args.witnesses is None else args.witnesses
         # witnesses first, so a refused run prints nothing
         witnesses = unboundedness_witnesses(h1, count) if res.uncovered_pair else []

@@ -37,6 +37,17 @@ of one process solve and name each level graph once. The record depends on
 the graph alone, and only representatives the level cache holds are kept,
 so this memo never outgrows that cache. A hit still checks the solver
 limit, and raises exactly as a fresh solve would.
+
+``unboundedness_witnesses`` keeps the ``(fvs, cfvs)`` of each witness graph
+it has solved, hourglass chain or butterfly, for the lifetime of the
+process, so the class-iii patterns share the L_k solves and class-iv
+patterns with one uncovered pair share their butterflies. The optima
+depend on the graph alone, and each call still builds and returns its own
+graphs. The solver limit is checked before the lookup, so a hit raises
+exactly as a fresh solve would. Only graphs solved within a limit are
+kept: under the default limit of 20 vertices, L_1..L_3 and the butterflies
+of the uncovered pairs asked for. L_k's own P_6 / P_4+P_2 check depends
+on k alone and runs when L_k is first solved.
 """
 
 from __future__ import annotations
@@ -60,6 +71,8 @@ MAX_ENUMERATION_ORDER = 8
 _LEVEL_CACHE: dict[int, dict[Graph, int]] = {}
 # level representative -> its evaluate_graphs record
 _RECORDS: dict[Graph, GraphRecord] = {}
+# witness graph -> its (fvs, cfvs), see unboundedness_witnesses
+_WITNESS_OPTIMA: dict[Graph, tuple[int, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -349,6 +362,8 @@ def unboundedness_witnesses(h: Graph, count: int, limit: int | None = None):
 
     class-iv: h-free butterflies on an uncovered pair, with exact optima;
     class-iii: the hourglass-chain family; class-i/ii: no witnesses exist.
+    Each witness graph is solved once per process and its optima are kept
+    in ``_WITNESS_OPTIMA``; ``limit`` is checked before every lookup.
     """
     if count < 0:
         raise InvalidInputError(f"witness count must be >= 0, got {count}")
@@ -358,24 +373,31 @@ def unboundedness_witnesses(h: Graph, count: int, limit: int | None = None):
         return out
     h_free = free_filter([h])
     if verdict.verdict == "class-iii":
-        chain_free = free_filter([path(6), path(4) + path(2)])
         for k in range(1, count + 1):
             lk = hourglass_chain(k)
-            if not chain_free(lk):
-                raise ContradictionError("hourglass chains must avoid P_6 and P_4+P_2")
+            _guard(lk, limit)
+            optima = _WITNESS_OPTIMA.get(lk)
+            if optima is None:
+                if not free_filter([path(6), path(4) + path(2)])(lk):
+                    raise ContradictionError("hourglass chains must avoid P_6 and P_4+P_2")
+                optima = _WITNESS_OPTIMA[lk] = fvs_and_cfvs(lk, limit)
             if not h_free(lk):
                 raise ContradictionError(
                     "a class-iii pattern contains P_6 or P_4+P_2, so hourglass "
                     "chains must avoid it"
                 )
-            out.append((lk, *fvs_and_cfvs(lk, limit)))
+            out.append((lk, *optima))
         return out
     i, j = verdict.uncovered_pair
     k = 1
     while len(out) < count:
         b = butterfly(i, j, k)
         if h_free(b):
-            out.append((b, *fvs_and_cfvs(b, limit)))
+            _guard(b, limit)
+            optima = _WITNESS_OPTIMA.get(b)
+            if optima is None:
+                optima = _WITNESS_OPTIMA[b] = fvs_and_cfvs(b, limit)
+            out.append((b, *optima))
         k += 1
     return out
 

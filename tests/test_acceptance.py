@@ -184,6 +184,25 @@ def test_unboundedness_witnesses_fail_on_a_wrong_cfvs(monkeypatch):
     assert result.detail.split("; ")[0] == "B_{3,3,2}: solver gave (2, 4), expected (2, 3)"
 
 
+def test_unboundedness_witnesses_fail_on_a_wrong_chain_difference(monkeypatch):
+    # cfvs one too high on L_2 and one too low on L_3: the L_k comparison
+    # must refuse a difference on either side of k
+    real = verification.min_cfvs
+    shifts = {hourglass_chain(2): 1, hourglass_chain(3): -1}
+
+    def shifted(g):
+        res = real(g)
+        return replace(res, optimum=res.optimum + shifts.get(g, 0))
+
+    monkeypatch.setattr(verification, "min_cfvs", shifted)
+    result = verification.check_unboundedness_witnesses()
+    assert result.passed is False
+    assert result.detail.split("; ") == [
+        "L_2: difference 3, expected 2",
+        "L_3: difference 2, expected 3",
+    ]
+
+
 def test_subdivided_triangle_family_fails_when_the_experiment_raises(monkeypatch):
     def contradicted(t_max):
         raise ContradictionError("a butterfly embeds into the t=2 instance")

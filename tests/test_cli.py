@@ -122,6 +122,28 @@ def test_classify_refuses_witnesses_with_two_patterns(capsys):
     assert code == 0 and out.count("witness n=") == 3
 
 
+def test_classify_refuses_witnesses_below_class_iv(capsys):
+    # only class iv prints witnesses, so an explicit count elsewhere is refused
+    for argv, verdict in [
+        (("classify", "P6", "--witnesses", "7"), "'P6' is class-iii"),
+        (("classify", "P3", "--witnesses", "5"), "'P3' is class-i"),
+        (("classify", "2P3", "--witnesses", "0"), "'2P3' is class-ii"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        message = f"input error: --witnesses applies to class-iv patterns only, {verdict}\n"
+        assert (code, out, err) == (2, "", message), argv
+    # without --witnesses the same patterns print their verdicts as before
+    code, out, err = run(capsys, "classify", "P6")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "P6: class-iii",
+        "reason: a linear forest; multiplicative constant suffices",
+        "certified constant: 52",
+    ]
+    code, out, _ = run(capsys, "classify", "P3")
+    assert code == 0 and out.splitlines()[0] == "P3: class-i" and "witness" not in out
+
+
 def test_classify_family(capsys):
     code, out, _ = run(capsys, "classify-family", "C3;2claw")
     assert code == 0

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from pocfvs import (
+    ContradictionError,
     Graph,
     InvalidInputError,
     ResourceLimitError,
@@ -19,6 +20,7 @@ from pocfvs import (
     tadpole,
 )
 from pocfvs import graph6 as g6mod
+from pocfvs.cover import ClassificationResult
 from pocfvs.generators import graph_from_text
 from pocfvs.graph6 import decode, encode, read_file
 from pocfvs.harness import (
@@ -32,7 +34,7 @@ from pocfvs.harness import (
     unboundedness_witnesses,
 )
 from pocfvs.iso import _search, are_isomorphic, canonical_form, is_free
-from pocfvs.solvers import min_cfvs, min_fvs
+from pocfvs.solvers import fvs_and_cfvs, min_cfvs, min_fvs
 from pocfvs.verification import oracle_catalog
 
 from _oracles import (
@@ -514,6 +516,112 @@ def test_unboundedness_witnesses_none_for_low_classes():
     for h in (path(3), path(6), cycle(3)):
         with pytest.raises(InvalidInputError):
             unboundedness_witnesses(h, -1)
+
+
+WITNESS_PATTERNS = ["P6", "P4+P2", "P7", "C3", "claw", "hourglass", "C3+P2"]
+
+
+def _witness_rows(spec, count=3, limit=None):
+    rows = unboundedness_witnesses(graph_from_text(spec), count, limit)
+    return [(b.n, b.edges(), f, c) for b, f, c in rows]
+
+
+def _counting_solves(monkeypatch):
+    from pocfvs import harness
+
+    solved = []
+
+    def counting(g, limit=None):
+        solved.append(g.n)
+        return fvs_and_cfvs(g, limit)
+
+    monkeypatch.setattr(harness, "fvs_and_cfvs", counting)
+    return solved
+
+
+def test_warm_witness_rows_equal_cold_rows(monkeypatch):
+    from pocfvs import harness
+
+    warm = {spec: _witness_rows(spec) for spec in WITNESS_PATTERNS}
+    solved = _counting_solves(monkeypatch)
+    assert {spec: _witness_rows(spec) for spec in WITNESS_PATTERNS} == warm
+    assert solved == []  # every row came from the memo
+    for spec in WITNESS_PATTERNS:
+        monkeypatch.setattr(harness, "_WITNESS_OPTIMA", {})
+        assert _witness_rows(spec) == warm[spec], spec
+    # the class-iii patterns share L_1..L_3, and each is solved once
+    monkeypatch.setattr(harness, "_WITNESS_OPTIMA", {})
+    solved.clear()
+    assert [_witness_rows(spec) for spec in ("P6", "P4+P2", "P7")] == [warm["P6"]] * 3
+    assert solved == [6, 11, 16]
+    assert [row[2:] for row in warm["P6"]] == [(2, 3), (3, 5), (4, 7)]
+
+
+def test_witness_memo_hits_still_apply_the_limit(monkeypatch):
+    from pocfvs import harness
+
+    def refusal(spec, count, limit=None):
+        with pytest.raises(ResourceLimitError) as info:
+            unboundedness_witnesses(graph_from_text(spec), count, limit)
+        return str(info.value)
+
+    solved = _counting_solves(monkeypatch)
+    monkeypatch.setattr(harness, "_WITNESS_OPTIMA", {})
+    # cold: L_1 is solved, L_2 is refused before its solve
+    assert refusal("P6", 2, limit=10) == "graph has 11 vertices, exhaustive limit is 10"
+    assert solved == [6]
+    # L_4 is refused under the default limit, after L_1..L_3 are solved
+    assert refusal("P6", 4) == "graph has 21 vertices, exhaustive limit is 20"
+    assert solved == [6, 11, 16]
+    assert refusal("C3", 2, limit=8) == "graph has 9 vertices, exhaustive limit is 8"
+    assert solved == [6, 11, 16, 8]
+    # warm: every hit raises the same way, and nothing is solved again
+    _witness_rows("C3", 3)
+    solved.clear()
+    assert refusal("P4+P2", 2, limit=10) == "graph has 11 vertices, exhaustive limit is 10"
+    assert refusal("P7", 4) == "graph has 21 vertices, exhaustive limit is 20"
+    assert refusal("C3", 2, limit=8) == "graph has 9 vertices, exhaustive limit is 8"
+    monkeypatch.setenv("POCFVS_LIMIT", "10")
+    assert refusal("P6", 3) == "graph has 11 vertices, exhaustive limit is 10"
+    monkeypatch.setenv("POCFVS_LIMIT", "9")
+    assert refusal("C3", 3) == "graph has 10 vertices, exhaustive limit is 9"
+    assert solved == []
+    with pytest.raises(InvalidInputError, match="^the vertex limit must be >= 0, got -1$"):
+        unboundedness_witnesses(path(6), 1, limit=-1)
+
+
+def test_witness_memo_holds_only_returned_graphs(monkeypatch):
+    from pocfvs import harness
+
+    monkeypatch.setattr(harness, "_WITNESS_OPTIMA", {})
+    returned = set()
+    for spec in WITNESS_PATTERNS + ["P3", "2P3"]:
+        for count in (0, 2, 3):
+            returned.update(b for b, _, _ in unboundedness_witnesses(graph_from_text(spec), count))
+    with pytest.raises(ResourceLimitError):
+        unboundedness_witnesses(path(6), 4)
+    assert harness._WITNESS_OPTIMA
+    assert set(harness._WITNESS_OPTIMA) <= returned
+    assert all(
+        harness._WITNESS_OPTIMA[b] == fvs_and_cfvs(b) for b in harness._WITNESS_OPTIMA
+    )
+
+
+def test_hourglass_chain_guards_trip(monkeypatch):
+    from pocfvs import harness
+
+    # a chain that contains P_6 is refused when it is first solved
+    monkeypatch.setattr(harness, "_WITNESS_OPTIMA", {})
+    monkeypatch.setattr(harness, "hourglass_chain", lambda k: path(6))
+    with pytest.raises(ContradictionError, match="^hourglass chains must avoid P_6 and P_4"):
+        unboundedness_witnesses(path(7), 1)
+    assert harness._WITNESS_OPTIMA == {}
+    monkeypatch.undo()
+    # a pattern that L_1 contains, forced to class iii
+    forced = ClassificationResult("class-iii", True, "forced", 52)
+    monkeypatch.setattr(harness, "tetrachotomy_classify", lambda h: forced)
+    with pytest.raises(ContradictionError, match="^a class-iii pattern contains P_6 or P_4"):
+        unboundedness_witnesses(cycle(3), 1)
 
 
 def test_gprime_experiment():

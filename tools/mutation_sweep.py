@@ -168,6 +168,21 @@ MUTANTS = {
     "record-memo-guard": ("harness.py", "_guard(g, limit)", "pass"),
     "record-memo-relabelled": ("harness.py", "if code is not None:", "if True:"),
     "upto-order-check": ("harness.py", "if n_max < 1:", "if n_max < 0:"),
+    # a witness-memo hit must check the limit as a fresh solve would
+    "witness-memo-guard": (
+        "harness.py",
+        "_guard(lk, limit)\n            optima = _WITNESS_OPTIMA.get(lk)\n"
+        "            if optima is None:\n",
+        "optima = _WITNESS_OPTIMA.get(lk)\n"
+        "            if optima is None:\n                _guard(lk, limit)\n",
+    ),
+    "witness-memo-guard-butterfly": (
+        "harness.py",
+        "_guard(b, limit)\n            optima = _WITNESS_OPTIMA.get(b)\n"
+        "            if optima is None:\n",
+        "optima = _WITNESS_OPTIMA.get(b)\n"
+        "            if optima is None:\n                _guard(b, limit)\n",
+    ),
     "result-cut": ("verification.py", "failures[:5]", "failures[:6]"),
     "criterion-1-equality": ("verification.py", "if c != k + 1:", "if c < k + 1:"),
     "criterion-2-equality": ("verification.py", "if c != 2 * k + 1:", "if c < 2 * k + 1:"),
@@ -206,6 +221,7 @@ MUTANTS = {
         "elif len(result) > bridge * f_res.optimum + 1:",
     ),
     "criterion-11-equality": ("verification.py", "if (f, c) != (2, k + 1):", "if f != 2:"),
+    "criterion-11-chain-difference": ("verification.py", "if d != k:", "if d > k:"),
     "criterion-12-raise": (
         "verification.py",
         'return CheckResult("subdivided-triangle-family", False, str(exc))',
