@@ -7,6 +7,8 @@ families, three constructive connectification procedures with audited
 traces, and an exhaustive enumeration harness.
 """
 
+from types import ModuleType as _Module
+
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .graph import Graph, disjoint_union
 from .generators import (
@@ -75,5 +77,10 @@ from .harness import (
     unboundedness_witnesses,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound by the imports above are left out, so `import *` binds no module
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
+)
 __version__ = "0.1.0"

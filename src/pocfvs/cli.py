@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
 limit exceeded, 4 internal contradiction (a certified guarantee failed).
 
-Graph sources accept the generator mini-language (``butterfly:5,9,4``,
-``P6``, ``2P3``, ``P4+P2``, ``Lk:3``, ``tadpole:2,5``, ``gprime:2``),
-``g6:<line>`` for a raw graph6 line, and ``file:<path>`` for the first
-graph of a graph6 file.
+Graph sources accept a generator spec (``P6``, ``C5``, ``2P3``, ``P4+P2``,
+``butterfly:5,9,4``, ``spider:1,2,4``, ``tadpole:2,5``, ``Lk:3``, ``kbip:3,4``,
+``gprime:2``, ``claw``, ``hourglass``, ``threep1``; see
+``generators.parse_spec``), ``g6:<line>`` for a raw graph6 line, and
+``file:<path>`` for the first graph of a graph6 file. A family list, for
+``classify-family`` and ``explore --forbid``, separates its specs by ``;``.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ def _cmd_covers(args) -> int:
     for name in sorted(results):
         print(f"{name}: covers ({args.i},{args.j}) = {results[name]}")
     if mode == "both" and results["brute"] != results["symbolic"]:
-        print("MISMATCH between brute force and symbolic computation", file=sys.stderr)
         raise ContradictionError("covering routes disagree")
     return EXIT_OK
 

@@ -145,16 +145,18 @@ def gprime(*t: int) -> Graph:
 
 # -- family specs ----------------------------------------------------------
 
-# name -> (constructor, parameter count or None)
+# name -> (constructor, parameter count or None); a name is the spelling the
+# spec language accepts, lower-cased, except P and C, which only ``P<k>`` and
+# ``C<k>`` reach (the lower-cased ``p:5`` is an unknown family)
 _FAMILIES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
+    "P": (path, 1),
+    "C": (cycle, 1),
     "butterfly": (butterfly, 3),
     "spider": (spider, 3),
     "tadpole": (tadpole, 2),
-    "hourglass-chain": (hourglass_chain, 1),
-    "complete-bipartite": (complete_bipartite, 2),
-    "threeP1-witness": (three_p1_witness, 0),
+    "lk": (hourglass_chain, 1),
+    "kbip": (complete_bipartite, 2),
+    "threep1": (three_p1_witness, 0),
     "hourglass": (hourglass, 0),
     "claw": (claw, 0),
     "gprime": (gprime, None),  # 1 or 6 parameters
@@ -189,22 +191,10 @@ def from_spec(spec: FamilySpec) -> Graph:
     return build(*spec.params)
 
 
-_ALIASES = {
-    "lk": "hourglass-chain",
-    "l": "hourglass-chain",
-    "kbip": "complete-bipartite",
-    "k": "complete-bipartite",
-    "t": "spider",
-    "d": "tadpole",
-    "b": "butterfly",
-    # note: bare "3p1" reads as three copies of P_1 under the copies grammar
-    "3p1-witness": "threeP1-witness",
-    "threep1": "threeP1-witness",
-    "threep1-witness": "threeP1-witness",
-}
-
-_COMPACT = re.compile(r"^(\d*)\s*([pc])\s*(\d+)$", re.IGNORECASE)
-_PREFIXED = re.compile(r"^(\d+)\s*[*x]?\s*\(?(.*?)\)?$")
+# copy count, then P<k> or C<k>, or a name with optional comma-separated integers
+_ATOM = re.compile(
+    r"(\d*)(?:([pc])(\d+)|([a-z][a-z0-9]*)(?::(-?\d+(?:,-?\d+)*))?)", re.IGNORECASE | re.ASCII
+)
 
 
 def _shown(text: str) -> str:
@@ -226,47 +216,30 @@ def _parse_atom(text: str) -> FamilySpec:
     text = text.strip()
     if not text:
         raise InvalidInputError("empty graph spec")
-    m = _COMPACT.match(text)
-    if m:
-        count, kind, size = m.groups()
-        fam = "path" if kind.lower() == "p" else "cycle"
-        atom = FamilySpec(fam, (_spec_int(size),))
-        if count:
-            return FamilySpec("copies", (_spec_int(count),), (atom,))
-        return atom
-    if ":" in text:
-        name, _, raw = text.partition(":")
-        name = name.strip().lower()
-        name = _ALIASES.get(name, name)
+    m = _ATOM.fullmatch(text)
+    if m is None:
+        raise InvalidInputError(f"cannot parse graph spec {_shown(text)}")
+    count, kind, size, name, params = m.groups()
+    if kind:
+        atom = FamilySpec(kind.upper(), (_spec_int(size),))
+    else:
+        name = name.lower()
         if name not in _FAMILIES:
             raise InvalidInputError(f"unknown family {_shown(name)}")
-        fields = [p.strip() for p in raw.replace(";", ",").split(",") if p.strip()]
-        try:
-            params = tuple(_spec_int(p) if p.isdecimal() else int(p) for p in fields)
-        except InvalidInputError:  # a ValueError; a digit run too long for int()
-            raise
-        except ValueError:
-            raise InvalidInputError(f"non-integer parameter in spec {_shown(text)}") from None
-        return FamilySpec(name, params)
-    m = _PREFIXED.match(text)
-    if m and m.group(1) and m.group(2):
-        return FamilySpec("copies", (_spec_int(m.group(1)),), (_parse_atom(m.group(2)),))
-    name = _ALIASES.get(text.lower(), text.lower())
-    if name in _FAMILIES and _FAMILIES[name][1] == 0:
-        return FamilySpec(name)
-    raise InvalidInputError(f"cannot parse graph spec {_shown(text)}")
+        atom = FamilySpec(name, tuple(map(_spec_int, params.split(","))) if params else ())
+    return FamilySpec("copies", (_spec_int(count),), (atom,)) if count else atom
 
 
 def parse_spec(text: str) -> FamilySpec:
-    """Parse the 'name:params' mini-language, with '+' for disjoint unions.
+    """Parse one graph spec: atoms joined by '+' into a disjoint union.
 
-    Examples: ``butterfly:5,9,4``, ``P6``, ``2P3``, ``P4+P2``, ``Lk:3``,
-    ``tadpole:2,5``, ``claw``, ``gprime:2``.
+    An atom is ``P<k>``, ``C<k>``, a family name with its parameters after a
+    colon (``butterfly:5,9,4``, ``spider:1,2,4``, ``tadpole:2,5``, ``Lk:3``,
+    ``kbip:3,4``, ``gprime:2``), or ``claw``, ``hourglass`` or ``threep1``,
+    with an optional copy count in front (``2P3``, ``2Lk:2``). Names are
+    case-insensitive; whitespace may surround an atom but not appear in one.
     """
-    parts = [p for p in text.split("+") if p.strip()]
-    if not parts:
-        raise InvalidInputError(f"cannot parse graph spec {_shown(text)}")
-    atoms = tuple(_parse_atom(p) for p in parts)
+    atoms = tuple(map(_parse_atom, text.split("+")))
     if len(atoms) == 1:
         return atoms[0]
     return FamilySpec("union", (), atoms)
@@ -277,15 +250,5 @@ def graph_from_text(text: str) -> Graph:
 
 
 def parse_spec_list(text: str) -> tuple[FamilySpec, ...]:
-    """Parse a list of specs: whole string first, then ';'-split, then ','-split."""
-    try:
-        return (parse_spec(text),)
-    except InvalidInputError:
-        pass
-    for sep in (";", ","):
-        if sep in text:
-            try:
-                return tuple(parse_spec(p) for p in text.split(sep) if p.strip())
-            except InvalidInputError:
-                continue
-    raise InvalidInputError(f"cannot parse spec list {_shown(text)}")
+    """Parse a ';'-separated list of specs; blank entries are skipped."""
+    return tuple(parse_spec(p) for p in text.split(";") if p.strip())

@@ -85,9 +85,9 @@ def test_classify_single(capsys):
     assert "uncovered pair: (4, 4)" in out
     assert out.count("witness n=") == 2
     # not a linear forest, so class iv without building any s*P_3 host
-    code, out, _ = run(capsys, "classify", "cycle:510", "--witnesses", "1")
+    code, out, _ = run(capsys, "classify", "C510", "--witnesses", "1")
     assert code == 0
-    assert "cycle:510: class-iv" in out
+    assert "C510: class-iv" in out
     # linear forests are read off their path orders, without building any host
     code, out, _ = run(capsys, "classify", "12P1")
     assert code == 0
@@ -152,6 +152,82 @@ def test_classify_family(capsys):
         "reason: every pair (i, j) with i, j >= 3 is covered",
         "certified ratio constant: 68 (bridge context 17)",
     ]
+
+
+def test_classify_family_unbounded(capsys):
+    code, out, _ = run(capsys, "classify-family", "C4;claw")
+    assert code == 0
+    assert out.splitlines() == [
+        "family of 2: unbounded",
+        "reason: pair (3, 3) is uncovered",
+        "uncovered pair: (3, 3)",
+        "witness family: butterflies B_{3,3,k} for growing k avoid the whole family",
+    ]
+
+
+def test_covers_both_disagreement_prints_one_line(capsys, monkeypatch):
+    class Flipped:
+        def contains(self, i, j):
+            return True
+
+    monkeypatch.setattr(cli, "covered_pairs", lambda h: Flipped())
+    code, out, err = run(capsys, "covers", "C3", "4", "4", "--both")
+    assert code == 4
+    assert out.splitlines() == ["brute: covers (4,4) = False", "symbolic: covers (4,4) = True"]
+    assert err == "internal contradiction: covering routes disagree\n"
+
+
+# each spelling the spec language dropped, with the one line it now gets
+REMOVED_SPELLINGS = {
+    # copy counts other than a bare digit prefix
+    "3*P3": "cannot parse graph spec '3*P3'",
+    "3xP3": "unknown family 'xp3'",
+    "3(P3)": "cannot parse graph spec '3(P3)'",
+    "3*(P3)": "cannot parse graph spec '3*(P3)'",
+    "3x(P3)": "cannot parse graph spec '3x(P3)'",
+    "3 P3": "cannot parse graph spec '3 P3'",
+    "3 claw": "cannot parse graph spec '3 claw'",
+    "3xclaw": "unknown family 'xclaw'",
+    "2(butterfly:3,3,1)": "cannot parse graph spec '2(butterfly:3,3,1)'",
+    # parameters other than single commas between ASCII integers
+    "kbip:3;4": "cannot parse graph spec 'kbip:3;4'",
+    "kbip:3,,4": "cannot parse graph spec 'kbip:3,,4'",
+    "kbip:,3,4,": "cannot parse graph spec 'kbip:,3,4,'",
+    "kbip: 3,4": "cannot parse graph spec 'kbip: 3,4'",
+    "butterfly:3,3,1_0": "cannot parse graph spec 'butterfly:3,3,1_0'",
+    "claw:": "cannot parse graph spec 'claw:'",
+    "P\u0663": "cannot parse graph spec 'P\u0663'",
+    "kbip:\u0663,4": "cannot parse graph spec 'kbip:\u0663,4'",
+    "\u212abip:3,4": "cannot parse graph spec '\u212abip:3,4'",
+    # long names, path:/cycle: and the short aliases
+    "path:3": "unknown family 'path'",
+    "cycle:3": "unknown family 'cycle'",
+    "p:3": "unknown family 'p'",
+    "hourglass-chain:2": "cannot parse graph spec 'hourglass-chain:2'",
+    "complete-bipartite:3,4": "cannot parse graph spec 'complete-bipartite:3,4'",
+    "threeP1-witness": "cannot parse graph spec 'threeP1-witness'",
+    "3p1-witness:": "cannot parse graph spec '3p1-witness:'",
+    "threep1-witness": "cannot parse graph spec 'threep1-witness'",
+    "l:2": "unknown family 'l'",
+    "k:3,4": "unknown family 'k'",
+    "t:1,1,1": "unknown family 't'",
+    "d:1,3": "unknown family 'd'",
+    "b:3,3,1": "unknown family 'b'",
+    # blank union parts
+    "P3+": "empty graph spec",
+    # an arity error names the family as typed
+    "kbip:3": "family 'kbip' takes 2 parameters, got 1",
+    "LK:2,2": "family 'lk' takes 1 parameters, got 2",
+}
+
+
+def test_removed_spellings_exit_2_with_one_line(capsys):
+    for spec, message in REMOVED_SPELLINGS.items():
+        code, out, err = run(capsys, "solve", spec, "--fvs")
+        assert (code, out, err) == (2, "", f"input error: {message}\n"), spec
+    # a family list separates its specs by ';' only
+    code, out, err = run(capsys, "classify-family", "C3,claw")
+    assert (code, out, err) == (2, "", "input error: cannot parse graph spec 'C3,claw'\n")
 
 
 def test_connectify_with_trace(capsys, tmp_path):
@@ -274,7 +350,7 @@ def test_input_error_exit_code(capsys, tmp_path):
         ("connectify", "kbip:3,4", "--method", "sp3", "--s", "0"),
         ("solve", "P" + "9" * 5000),
         ("solve", "9" * 5000 + "P3"),
-        ("solve", "9" * 5000 + "*claw"),
+        ("solve", "9" * 5000 + "claw"),
         ("solve", "butterfly:3,3," + "9" * 4301),
         ("solve", "butterfly:3,3,-" + "9" * 4301),
         ("solve", "P3+" + "9" * 4301),

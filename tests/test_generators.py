@@ -20,6 +20,7 @@ from pocfvs import (
 )
 from pocfvs.generators import parse_spec_list
 from pocfvs.graph import MAX_ORDER
+from pocfvs.graph6 import encode
 from pocfvs.iso import are_isomorphic, embeds_induced
 from pocfvs.solvers import min_cfvs, min_fvs
 
@@ -248,25 +249,85 @@ def test_parse_spec_roundtrips():
 def test_parse_spec_list():
     specs = parse_spec_list("C3;claw;P4+P2")
     assert len(specs) == 3
-    specs = parse_spec_list("C3,claw")
-    assert len(specs) == 2
     specs = parse_spec_list("butterfly:3,3,1")
     assert len(specs) == 1
     assert from_spec(specs[0]) == butterfly(3, 3, 1)
-    # a name:params atom with an unknown name does not stop the ';' split
-    specs = parse_spec_list("P4;kbip:4,4")
+    specs = parse_spec_list(" P4 ; kbip:4,4 ")
     assert [from_spec(spec) for spec in specs] == [path(4), complete_bipartite(4, 4)]
+    # only ';' separates specs; a ',' belongs to a family's parameters
+    with pytest.raises(InvalidInputError, match="^cannot parse graph spec 'C3,claw'$"):
+        parse_spec_list("C3,claw")
 
 
 def test_parse_spec_errors():
-    for bad in ("", "wat:1", "P", "butterfly:3,3", "spider:1,2", "cycle:x"):
+    for bad in ("", "wat:1", "P", "butterfly:3,3", "spider:1,2", "kbip:3,x"):
         with pytest.raises(InvalidInputError):
             graph_from_text(bad)
-    # parse_spec drops blank parts, so only a blank copy body reaches this check
-    with pytest.raises(InvalidInputError, match="^empty graph spec$"):
-        graph_from_text("3*( )")
+    for bad in ("P3+", "P3+ +P2", " "):
+        with pytest.raises(InvalidInputError, match="^empty graph spec$"):
+            graph_from_text(bad)
     # a hand-built spec skips the parser; from_spec checks family and arity itself
-    for bad in (FamilySpec("wat"), FamilySpec("claw", (1,)), FamilySpec("cycle", (3, 4))):
+    for bad in (FamilySpec("wat"), FamilySpec("claw", (1,)), FamilySpec("C", (3, 4))):
         for spec in (bad, FamilySpec("union", (), (FamilySpec("claw"), bad))):
             with pytest.raises(InvalidInputError):
                 from_spec(spec)
+
+
+# every spelling the spec language keeps, with the graph6 of the graph it
+# builds; 2Lk:2, 2kbip:3,3 and 2butterfly:3,3,1 are pinned to the graph the
+# union of two copies (Lk:2+Lk:2 and so on) builds
+KEPT_SPELLINGS = {
+    # README
+    "P6": "EhCG",
+    "C5": "Dhc",
+    "2P3": "EgCG",
+    "P4+P2": "Eh?G",
+    "butterfly:5,9,4": "Phe?GC@?G?_@?@??_?G?@?GC",
+    "spider:1,2,4": "Gp_GGC",
+    "tadpole:2,5": "Fhe?G",
+    "Lk:3": "O^rGCEB_cC_?_@_@o?c?H",
+    "kbip:3,4": "FFzf?",
+    "gprime:2": "NCUAK?`_@?g?G@O?C?G",
+    "gprime:1,2,1,2,1,2": "KE`LC?`WA?C@",
+    "claw": "Cs",
+    "hourglass": "D{c",
+    "threep1": "Eh~o",
+    "12P1": "K???????????",
+    "C4": "Cl",
+    "2claw": "Gs?GOO",
+    # copies of a family that takes parameters
+    "2Lk:2": "U^rGCEB_cC_????@_?w?K?@c????GG?GK?CC?@@G",
+    "2kbip:3,3": "KFz_????wF?[",
+    "2butterfly:3,3,1": "K{CW?CB?_?_B",
+    # the benchmark's specs
+    "P1": "@",
+    "P2": "A_",
+    "P3": "Bg",
+    "P4": "Ch",
+    "P5": "DhC",
+    "P5+2P1": "FhC??",
+    "3P3": "HgCG?C@",
+    "P7": "FhCGG",
+    "C3": "Bw",
+    "C3+P2": "DwC",
+    "kbip:4,4": "G?~vf_",
+    "3C3": "HwCW?CB",
+    "kbip:1,6": "FsaC?",
+    # names are case-insensitive, and whitespace may surround an atom or a '+'
+    "p3": "Bg",
+    "LK:2": "J^rGCEB_cC_",
+    "KBIP:3,4": "FFzf?",
+    "Claw": "Cs",
+    "THREEP1": "Eh~o",
+    " P4 + P2 ": "Eh?G",
+    "3p1": "B?",
+    "0P3": "?",
+    "gprime:1": "HEqdB@_",
+    "tadpole:0,3": "Bw",
+    "2C3+P1": "FwCW?",
+}
+
+
+@pytest.mark.parametrize("text, g6", KEPT_SPELLINGS.items(), ids=list(KEPT_SPELLINGS))
+def test_kept_spellings_build_their_pinned_graphs(text, g6):
+    assert encode(graph_from_text(text)) == g6

@@ -1,8 +1,10 @@
 import math
 import random
+from types import ModuleType
 
 import pytest
 
+import pocfvs
 from pocfvs import (
     Graph,
     InvalidInputError,
@@ -26,6 +28,12 @@ from _oracles import (
     reachable,
     vertices_with_degree,
 )
+
+
+def test_star_import_binds_no_module():
+    assert pocfvs.__all__ and "Graph" in pocfvs.__all__
+    modules = [name for name in pocfvs.__all__ if isinstance(getattr(pocfvs, name), ModuleType)]
+    assert modules == []
 
 
 def random_graph(rng, n, p=0.4):

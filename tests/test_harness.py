@@ -633,6 +633,22 @@ def test_gprime_experiment():
         gprime_experiment(0)
 
 
+def test_gprime_experiment_checks_trip(monkeypatch):
+    from pocfvs import harness
+
+    monkeypatch.setattr(harness, "fvs_and_cfvs", lambda g, limit: (3, 4))
+    with pytest.raises(ContradictionError, match="^subdivided doubled triangle t=1 has fvs 3 != 2$"):
+        gprime_experiment(1)
+    monkeypatch.setattr(harness, "fvs_and_cfvs", lambda g, limit: (2, 4))
+    with pytest.raises(ContradictionError, match="^cfvs failed to increase strictly at t=2: 4 -> 4$"):
+        gprime_experiment(2)
+    monkeypatch.undo()
+    # B_{3,3,1} has fvs 2 and is one of the small butterflies itself
+    monkeypatch.setattr(harness, "gprime", lambda t: butterfly(3, 3, 1))
+    with pytest.raises(ContradictionError, match="^a butterfly embeds into the t=1 instance$"):
+        gprime_experiment(1)
+
+
 def test_graph6_known_encoding():
     assert encode(cycle(3)) == "Bw"
     assert decode("Bw") == cycle(3)

@@ -106,6 +106,23 @@ MUTANTS = {
         "cands &= (1 << assignment[twin[idx]]) - 1",
     ),
     "spec-echo-cut": ("generators.py", "if len(quoted) <= 32:", "if len(quoted) <= 32000:"),
+    "spec-copy-count-dropped": (
+        "generators.py",
+        'return FamilySpec("copies", (_spec_int(count),), (atom,)) if count else atom',
+        "return atom",
+    ),
+    "spec-arity-unchecked": (
+        "generators.py",
+        "if arity is not None and len(spec.params) != arity:",
+        "if False:",
+    ),
+    "spec-list-comma-split": (
+        "generators.py",
+        'return tuple(parse_spec(p) for p in text.split(";") if p.strip())',
+        'return tuple(parse_spec(p) for p in text.split(",") if p.strip())',
+    ),
+    "spec-param-empty-field": ("generators.py", r"(?:,-?\d+)*", r"(?:,-?\d*)*"),
+    "spec-unicode-digits": ("generators.py", "re.IGNORECASE | re.ASCII", "re.IGNORECASE"),
     "usage-echo-bare": (
         "cli.py",
         "shown = shown.replace(repr(text), cut).replace(text, cut)",
