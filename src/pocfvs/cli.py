@@ -215,7 +215,7 @@ def _cmd_explore(args) -> int:
     if args.out:
         _write(args.out, report.to_json(stamp))
         print(f"report written to {args.out}")
-        print(report.to_text().splitlines()[-1])
+        print(report._summary())
     else:
         print(report.to_text())
     return EXIT_OK

@@ -206,6 +206,9 @@ def _shown(text: str) -> str:
 
 
 def _spec_int(digits: str) -> int:
+    unsigned = digits.removeprefix("-")
+    if len(unsigned) > 1 and unsigned[0] == "0":  # P03 would spell P3 a second way
+        raise InvalidInputError(f"graph spec number {_shown(digits)} has a leading zero")
     try:
         return int(digits)
     except ValueError:  # int() refuses digit runs longer than about 4,300
@@ -238,6 +241,7 @@ def parse_spec(text: str) -> FamilySpec:
     ``kbip:3,4``, ``gprime:2``), or ``claw``, ``hourglass`` or ``threep1``,
     with an optional copy count in front (``2P3``, ``2Lk:2``). Names are
     case-insensitive; whitespace may surround an atom but not appear in one.
+    A number of two or more digits never starts with ``0`` (``P03`` is refused).
     """
     atoms = tuple(map(_parse_atom, text.split("+")))
     if len(atoms) == 1:
@@ -250,5 +254,10 @@ def graph_from_text(text: str) -> Graph:
 
 
 def parse_spec_list(text: str) -> tuple[FamilySpec, ...]:
-    """Parse a ';'-separated list of specs; blank entries are skipped."""
-    return tuple(parse_spec(p) for p in text.split(";") if p.strip())
+    """Parse a ';'-separated list of specs; only blank text is the empty list.
+
+    Every entry is parsed, so a blank one (``C3;;claw``, ``C3;``) is refused.
+    """
+    if not text.strip():
+        return ()
+    return tuple(map(parse_spec, text.split(";")))

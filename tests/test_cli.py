@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -9,6 +11,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pocfvs
 from pocfvs import cli
 from pocfvs.cli import main
 from pocfvs.graph6 import encode
@@ -20,6 +23,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_module_entry_point_exits_with_mains_code():
+    # python -m pocfvs.cli runs sys.exit(main()) under its __main__ check
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pocfvs.__file__))}
+    command = [sys.executable, "-m", "pocfvs.cli"]
+    done = subprocess.run([*command, "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: ")
+    done = subprocess.run(
+        [*command, "solve", "P03", "--fvs"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "input error: graph spec number '03' has a leading zero\n"
 
 
 def test_solve_cfvs(capsys):
@@ -215,6 +232,11 @@ REMOVED_SPELLINGS = {
     "b:3,3,1": "unknown family 'b'",
     # blank union parts
     "P3+": "empty graph spec",
+    # numbers with a leading zero; 0 itself and 0P3 stay
+    "P03": "graph spec number '03' has a leading zero",
+    "03P3": "graph spec number '03' has a leading zero",
+    "kbip:03,4": "graph spec number '03' has a leading zero",
+    "kbip:-03,4": "graph spec number '-03' has a leading zero",
     # an arity error names the family as typed
     "kbip:3": "family 'kbip' takes 2 parameters, got 1",
     "LK:2,2": "family 'lk' takes 1 parameters, got 2",
@@ -228,6 +250,10 @@ def test_removed_spellings_exit_2_with_one_line(capsys):
     # a family list separates its specs by ';' only
     code, out, err = run(capsys, "classify-family", "C3,claw")
     assert (code, out, err) == (2, "", "input error: cannot parse graph spec 'C3,claw'\n")
+    # and every entry of a family list is a spec, so a blank one is refused
+    for family in ("C3;;claw", ";C3", "C3;"):
+        code, out, err = run(capsys, "classify-family", family)
+        assert (code, out, err) == (2, "", "input error: empty graph spec\n"), family
 
 
 def test_connectify_with_trace(capsys, tmp_path):
@@ -288,7 +314,7 @@ def test_explore_g6_in_applies_the_forbidden_family(capsys, tmp_path):
 
 
 def test_explore_rejects_an_empty_family(capsys):
-    code, out, err = run(capsys, "explore", "--n-max", "3", "--forbid", ";")
+    code, out, err = run(capsys, "explore", "--n-max", "3", "--forbid", "")
     assert code == 2 and out == ""
     assert err == "input error: the family must be nonempty\n"
 

@@ -257,6 +257,13 @@ def test_parse_spec_list():
     # only ';' separates specs; a ',' belongs to a family's parameters
     with pytest.raises(InvalidInputError, match="^cannot parse graph spec 'C3,claw'$"):
         parse_spec_list("C3,claw")
+    # only blank text is the empty list; a blank entry is an empty spec
+    assert parse_spec_list("") == parse_spec_list(" ") == ()
+    for text in ("C3;;claw", ";C3", "C3;", ";", " ; "):
+        with pytest.raises(InvalidInputError, match="^empty graph spec$"):
+            parse_spec_list(text)
+    with pytest.raises(InvalidInputError, match="^graph spec number '03' has a leading zero$"):
+        parse_spec_list("C3;kbip:03,4")
 
 
 def test_parse_spec_errors():

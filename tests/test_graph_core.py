@@ -97,6 +97,11 @@ def test_parallel_edges_collapse():
     assert g.edge_count == 1
 
 
+def test_graph_equality_defers_to_other_types():
+    assert Graph(1).__eq__(1) is NotImplemented
+    assert Graph(1) != 1 and Graph(1) == Graph(1)
+
+
 def test_induced_subgraph_of_cycle_is_path_segment():
     g = cycle(5)
     sub, kept = g.mask_subgraph(g.vertex_mask([0, 1, 2]))

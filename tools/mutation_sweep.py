@@ -118,8 +118,18 @@ MUTANTS = {
     ),
     "spec-list-comma-split": (
         "generators.py",
+        'return tuple(map(parse_spec, text.split(";")))',
+        'return tuple(map(parse_spec, text.split(",")))',
+    ),
+    "spec-blank-entry": (
+        "generators.py",
+        'return tuple(map(parse_spec, text.split(";")))',
         'return tuple(parse_spec(p) for p in text.split(";") if p.strip())',
-        'return tuple(parse_spec(p) for p in text.split(",") if p.strip())',
+    ),
+    "spec-leading-zero": (
+        "generators.py",
+        'if len(unsigned) > 1 and unsigned[0] == "0":',
+        "if False:",
     ),
     "spec-param-empty-field": ("generators.py", r"(?:,-?\d+)*", r"(?:,-?\d*)*"),
     "spec-unicode-digits": ("generators.py", "re.IGNORECASE | re.ASCII", "re.IGNORECASE"),
@@ -185,6 +195,11 @@ MUTANTS = {
     "record-memo-guard": ("harness.py", "_guard(g, limit)", "pass"),
     "record-memo-relabelled": ("harness.py", "if code is not None:", "if True:"),
     "upto-order-check": ("harness.py", "if n_max < 1:", "if n_max < 0:"),
+    "report-json-materialised": (
+        "harness.py",
+        'return "".join(map("".join, iter(lambda: [*islice(chunks, 4096)], [])))',
+        "return json.dumps(self.to_dict(timestamp), indent=2)",
+    ),
     # a witness-memo hit must check the limit as a fresh solve would
     "witness-memo-guard": (
         "harness.py",
