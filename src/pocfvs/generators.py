@@ -209,6 +209,8 @@ def _spec_int(digits: str) -> int:
     unsigned = digits.removeprefix("-")
     if len(unsigned) > 1 and unsigned[0] == "0":  # P03 would spell P3 a second way
         raise InvalidInputError(f"graph spec number {_shown(digits)} has a leading zero")
+    if digits == "-0":  # tadpole:-0,3 would spell tadpole:0,3 a second way
+        raise InvalidInputError(f"graph spec number {_shown(digits)} is a signed zero")
     try:
         return int(digits)
     except ValueError:  # int() refuses digit runs longer than about 4,300
@@ -241,7 +243,8 @@ def parse_spec(text: str) -> FamilySpec:
     ``kbip:3,4``, ``gprime:2``), or ``claw``, ``hourglass`` or ``threep1``,
     with an optional copy count in front (``2P3``, ``2Lk:2``). Names are
     case-insensitive; whitespace may surround an atom but not appear in one.
-    A number of two or more digits never starts with ``0`` (``P03`` is refused).
+    A number of two or more digits never starts with ``0`` (``P03`` is refused),
+    and zero takes no sign (``tadpole:-0,3`` is refused).
     """
     atoms = tuple(map(_parse_atom, text.split("+")))
     if len(atoms) == 1:

@@ -31,6 +31,19 @@ kept iff its parent was kept and no member has an induced copy through
 the last vertex. That keeps exactly the representatives a growth
 restricted to free graphs would find.
 
+The filtered levels of each forbidden family are kept too, for the lifetime
+of the process, so a family asked about again is not filtered again.
+Freeness is isomorphism-invariant, and a member larger than a graph has no
+copy in it, so an entry is keyed by the set of canonical forms of the
+members that fit in the levels asked for: two calls with one key keep the
+same graphs in each level either asks for. So relabelled, reordered and
+repeated members share one entry, and so do members too large for any
+level. The first caller's members run the filter, and a later call with
+more levels extends the entry from its top level. Each call returns new
+lists. The memo holds the 32 most recently used families. An entry holds
+references into the level cache, at most its 12,113 graphs; the largest the
+verify battery makes, 2P_3-free with n <= 8, holds 11,420.
+
 ``evaluate_graphs`` also keeps each level representative's record for the
 lifetime of the process, so the repeated and overlapping ``max_poc`` calls
 of one process solve and name each level graph once. The record depends on
@@ -58,6 +71,8 @@ and the traced peak falls from 11.8 to 3.7 times the text's length.
 from __future__ import annotations
 
 import json
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -68,13 +83,18 @@ from .cover import ClassificationResult, family_covers_all, structure_profile
 from .errors import ContradictionError, InvalidInputError, ResourceLimitError
 from .generators import butterfly, gprime, hourglass_chain, path
 from .graph import Graph, iter_bits
-from .iso import _copies_through, _least_code, _search, free_filter
-from .solvers import _guard, fvs_and_cfvs
+from .iso import _copies_through, _least_code, _search, canonical_form, free_filter
+from .solvers import _guard, _resolved_limit, fvs_and_cfvs
 
 MAX_ENUMERATION_ORDER = 8
 
 # order -> {representative: its canonical code}, in level order
 _LEVEL_CACHE: dict[int, dict[Graph, int]] = {}
+# canonical forms of a family's fitting members -> (its filter through the
+# last vertex, its filtered levels 1..k), least recently used first
+_FAMILY_LEVELS: dict[frozenset[Graph], tuple[Callable, list[list[Graph]]]] = {}
+_FAMILY_BOUND = 32
+_FAMILY_LOCK = threading.Lock()
 # level representative -> its evaluate_graphs record
 _RECORDS: dict[Graph, GraphRecord] = {}
 # witness graph -> its (fvs, cfvs), see unboundedness_witnesses
@@ -140,27 +160,36 @@ def _free_levels(n_max: int, forbidden) -> list[list[Graph]]:
     Each level is filtered from the one below it, as the module docstring
     explains: a level-n representative without vertex n - 1 has exactly
     its parent's masks. A member larger than ``n_max`` fits in no level
-    and is dropped.
+    and is dropped. The filtered levels are kept in ``_FAMILY_LEVELS``
+    under the canonical forms of the members that fit, and extended from
+    the top level kept; each call returns new lists.
     """
     if n_max > MAX_ENUMERATION_ORDER:
         raise ResourceLimitError(f"internal enumeration stops at {MAX_ENUMERATION_ORDER}")
     family = [h for h in forbidden if h.n <= n_max]
     if not family:
         return [list(_level(n)) for n in range(1, n_max + 1)]
-    free = free_filter(family)
-    levels = [[g for g in _level(1) if free(g)]]
-    through = _copies_through(family)
-    for n in range(2, n_max + 1):
-        kept = {g._masks for g in levels[-1]}
-        low = (1 << n - 1) - 1
-        levels.append(
-            [
-                g
-                for g in _level(n)
-                if tuple(m & low for m in g._masks[:-1]) in kept and not through(g, n - 1)
-            ]
-        )
-    return levels
+    key = frozenset(map(canonical_form, family))
+    with _FAMILY_LOCK:  # an entry grows in place, so one caller at a time
+        entry = _FAMILY_LEVELS.pop(key, None)
+        if entry is None:
+            free = free_filter(family)
+            entry = (_copies_through(family), [[g for g in _level(1) if free(g)]])
+        _FAMILY_LEVELS[key] = entry  # now the most recent
+        if len(_FAMILY_LEVELS) > _FAMILY_BOUND:
+            del _FAMILY_LEVELS[next(iter(_FAMILY_LEVELS))]
+        through, levels = entry
+        for n in range(len(levels) + 1, n_max + 1):
+            kept = {g._masks for g in levels[-1]}
+            low = (1 << n - 1) - 1
+            levels.append(
+                [
+                    g
+                    for g in _level(n)
+                    if tuple(m & low for m in g._masks[:-1]) in kept and not through(g, n - 1)
+                ]
+            )
+        return [list(level) for level in levels[:n_max]]
 
 
 def _orbit_minima(n: int, perms) -> list[int]:
@@ -294,8 +323,11 @@ def evaluate_graphs(graphs, spec_label: str, limit: int | None = None) -> Experi
     ``limit`` as the solvers would. Any other graph, such as a relabelled
     copy or a graph read from a file, is searched and solved here on every
     call and never kept, so the memo holds at most the level cache's graphs.
+    ``limit`` is resolved once, before the first graph, so a malformed limit
+    is refused even when no graph reaches a solver.
     """
     report = ExperimentReport(spec=spec_label)
+    limit = _resolved_limit(limit)
     for g in graphs:
         rec = _RECORDS.get(g)
         if rec is not None:

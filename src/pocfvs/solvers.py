@@ -58,11 +58,17 @@ def default_limit() -> int:
     return limit
 
 
-def _guard(g: Graph, limit: int | None) -> None:
+def _resolved_limit(limit: int | None) -> int:
+    """``limit``, or :func:`default_limit` when it is None; a negative limit is an input error."""
     if limit is None:
-        limit = default_limit()
-    elif limit < 0:
+        return default_limit()
+    if limit < 0:
         raise InvalidInputError(f"the vertex limit must be >= 0, got {limit}")
+    return limit
+
+
+def _guard(g: Graph, limit: int | None) -> None:
+    limit = _resolved_limit(limit)
     if g.n > limit:
         raise ResourceLimitError(f"graph has {g.n} vertices, exhaustive limit is {limit}")
 

@@ -237,6 +237,8 @@ REMOVED_SPELLINGS = {
     "03P3": "graph spec number '03' has a leading zero",
     "kbip:03,4": "graph spec number '03' has a leading zero",
     "kbip:-03,4": "graph spec number '-03' has a leading zero",
+    # a signed zero; tadpole:0,3 stays
+    "tadpole:-0,3": "graph spec number '-0' is a signed zero",
     # an arity error names the family as typed
     "kbip:3": "family 'kbip' takes 2 parameters, got 1",
     "LK:2,2": "family 'lk' takes 1 parameters, got 2",
@@ -433,6 +435,23 @@ def test_negative_limits_are_input_errors(capsys, monkeypatch):
     monkeypatch.setenv("POCFVS_LIMIT", "0")
     code, _, err = run(capsys, "solve", "C5")
     assert code == 3 and "exhaustive limit is 0" in err
+
+
+def test_explore_checks_the_limit_when_no_graph_reaches_a_solver(capsys, monkeypatch, tmp_path):
+    # no connected graph is P1-free, and the file's one graph is disconnected,
+    # so no graph is solved; the limit is refused with the solvers' own line
+    two_isolated = tmp_path / "two.g6"
+    two_isolated.write_text("A?\n")
+    for argv in [
+        ("explore", "--n-max", "3", "--forbid", "P1", "--limit", "-1"),
+        ("explore", "--g6-in", str(two_isolated), "--limit", "-1"),
+    ]:
+        assert run(capsys, *argv) == run(capsys, "solve", "C5", "--limit", "-1"), argv
+        assert run(capsys, *argv)[2] == "input error: the vertex limit must be >= 0, got -1\n"
+    monkeypatch.setenv("POCFVS_LIMIT", "abc")
+    code, out, err = run(capsys, "explore", "--n-max", "3", "--forbid", "P1")
+    assert (code, out, err) == run(capsys, "solve", "C5")
+    assert (code, out, err) == (2, "", "input error: POCFVS_LIMIT must be an integer, got 'abc'\n")
 
 
 def test_connectify_limit_comes_from_the_environment(capsys, monkeypatch):

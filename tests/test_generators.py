@@ -273,6 +273,9 @@ def test_parse_spec_errors():
     for bad in ("P3+", "P3+ +P2", " "):
         with pytest.raises(InvalidInputError, match="^empty graph spec$"):
             graph_from_text(bad)
+    for bad in ("tadpole:-0,3", "tadpole:1,-0", "butterfly:3,3,-0"):
+        with pytest.raises(InvalidInputError, match="^graph spec number '-0' is a signed zero$"):
+            graph_from_text(bad)
     # a hand-built spec skips the parser; from_spec checks family and arity itself
     for bad in (FamilySpec("wat"), FamilySpec("claw", (1,)), FamilySpec("C", (3, 4))):
         for spec in (bad, FamilySpec("union", (), (FamilySpec("claw"), bad))):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -21,6 +23,7 @@ from pocfvs import (
     tadpole,
 )
 from pocfvs import graph6 as g6mod
+from pocfvs import iso
 from pocfvs.cover import ClassificationResult
 from pocfvs.generators import graph_from_text
 from pocfvs.graph6 import decode, encode, read_file
@@ -93,24 +96,38 @@ def test_enumeration_unique_and_connected():
 
 
 def test_enumerated_levels_are_fresh_lists(monkeypatch):
-    # a caller that mutates a returned level must not change the cache
+    # a caller that mutates a returned level, filtered or not, must not
+    # change the level cache or the family memo
     from pocfvs import harness
 
     monkeypatch.setattr(harness, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
     level = enumerate_connected(3)
     before = list(level)
     level.clear()
     assert enumerate_connected(3) == before
     assert len(enumerate_connected(4)) == 6
+    family = (claw(),)
+    for n in (4, 5):
+        level = enumerate_connected(n, family)
+        before = list(level)
+        level.pop()
+        level.append(Graph(n))
+        assert enumerate_connected(n, family) == before
+    upto = enumerate_connected_upto(5, family)
+    upto.clear()
+    assert len(enumerate_connected(5, family)) == 14
 
 
 def test_enumeration_ignores_family_labels_and_order(monkeypatch):
     # freeness is isomorphism-invariant, so a relabelled or reordered
-    # family yields the same levels; each family gets a cold cache here
+    # family yields the same levels; each family gets a cold cache and an
+    # empty family memo here, so no family reads another's entry
     from pocfvs import harness
 
     def levels(family):
         monkeypatch.setattr(harness, "_LEVEL_CACHE", {})
+        monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
         return [enumerate_connected(n, family) for n in range(1, 7)]
 
     c4 = cycle(4)
@@ -148,7 +165,9 @@ def _level_digest(family, n_max):
     return h.hexdigest()
 
 
-def test_enumeration_levels_are_byte_stable():
+def test_enumeration_levels_are_byte_stable(monkeypatch):
+    from pocfvs import harness
+
     families = {
         "unfiltered": ((), 8),
         "P3": ((path(3),), 8),
@@ -159,7 +178,10 @@ def test_enumeration_levels_are_byte_stable():
         "claw": ((claw(),), 6),
         "P4,C4": ((path(4), cycle(4)), 6),
     }
-    digests = {name: _level_digest(family, n_max) for name, (family, n_max) in families.items()}
+    digests = {}
+    for name, (family, n_max) in families.items():
+        monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})  # each family runs cold
+        digests[name] = _level_digest(family, n_max)
     assert digests == LEVEL_DIGESTS
 
 
@@ -170,7 +192,9 @@ def test_enumeration_levels_are_byte_stable():
 FAMILY_LEVELS_DIGEST = "7e940dc7f6297920361fe268263ffa56bbc76a6a1578e05d490bc6b5575ba572"
 
 
-def test_family_levels_are_byte_stable():
+def test_family_levels_are_byte_stable(monkeypatch):
+    from pocfvs import harness
+
     families = [(h,) for _, h in oracle_catalog()]
     for text in ["kbip:4,4", "3C3", "kbip:1,6", "P4;kbip:4,4", "claw;3C3"]:
         families.append(tuple(graph_from_text(s) for s in text.split(";")))
@@ -181,9 +205,126 @@ def test_family_levels_are_byte_stable():
         families.append(tuple(m.relabel(rng.sample(range(m.n), m.n)) for m in family))
     h = hashlib.sha256()
     for family in families:
+        # an empty memo, so a relabelled family is filtered, not read from its original's entry
+        monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
         h.update(_level_digest(family, 7).encode())
         h.update(json.dumps([g.edges() for g in enumerate_connected_upto(7, family)]).encode())
     assert h.hexdigest() == FAMILY_LEVELS_DIGEST
+
+
+def _counting_filters(monkeypatch):
+    """An empty family memo, and a list that grows by one for each family filtered afresh."""
+    from pocfvs import harness
+
+    built = []
+
+    def counting(family):
+        built.append(family)
+        return iso._copies_through(family)
+
+    monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
+    monkeypatch.setattr(harness, "_copies_through", counting)
+    return built
+
+
+def test_family_memo_shares_one_entry_per_class(monkeypatch):
+    from pocfvs import harness
+
+    built = _counting_filters(monkeypatch)
+    p4, c4 = path(4), cycle(4)
+    first = enumerate_connected_upto(6, (p4, c4))
+    assert len(built) == 1
+    # relabelled, reordered and repeated members, and members too large for
+    # any level asked for, all read the one entry
+    for family in [
+        (c4.relabel((2, 0, 3, 1)), p4.relabel((3, 1, 2, 0))),
+        (c4, p4, p4.relabel((3, 2, 1, 0)), c4),
+        (p4, cycle(7), c4, path(8)),
+    ]:
+        assert enumerate_connected_upto(6, family) == first
+    assert len(built) == 1
+    assert len(harness._FAMILY_LEVELS) == 1
+    # the entry is keyed by every member that fits, not by the first alone
+    p4_free = enumerate_connected_upto(6, (p4,))
+    assert len(built) == 2 and p4_free != first
+    # more levels extend the entry from its top; C7 fits level 7, so it is a new family
+    assert enumerate_connected_upto(7, (c4, p4))[: len(first)] == first
+    assert len(built) == 2
+    enumerate_connected_upto(7, (p4, c4, cycle(7)))
+    assert len(built) == 3
+
+
+def test_warm_family_levels_equal_cold(monkeypatch):
+    # the benchmark's query families at n <= 6 and the pinned families at
+    # n <= 7, asked twice each, then once more each from an empty memo
+    from pocfvs import harness
+
+    families = [
+        tuple(graph_from_text(s) for s in text.split(";"))
+        for text in ("kbip:4,4", "3C3", "kbip:1,6", "P4;kbip:4,4", "claw;3C3")
+    ]
+    asks = [(6, family) for family in families]
+    pinned = ["P3", "P5", "2P3", "P4", "P5+P1", "claw", "P4;C4"]
+    asks += [(7, tuple(map(graph_from_text, text.split(";")))) for text in pinned]
+    monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
+    warm = [[harness._free_levels(n_max, f) for n_max, f in asks] for _ in range(2)]
+    assert warm[0] == warm[1]
+    for (n_max, family), levels in zip(asks, warm[1]):
+        monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
+        assert harness._free_levels(n_max, family) == levels
+        # a warm call that asks for fewer levels gets the bottom of the entry
+        assert harness._free_levels(n_max - 1, family) == levels[:-1]
+
+
+def test_family_memo_drops_the_least_recent_past_its_bound(monkeypatch):
+    from pocfvs import harness
+
+    built = _counting_filters(monkeypatch)
+    bound = harness._FAMILY_BOUND
+    members = enumerate_connected(6)[: bound + 1]
+    for h in members[:bound]:
+        enumerate_connected_upto(6, (h,))
+    enumerate_connected_upto(6, (members[0],))  # now the most recent
+    assert len(built) == bound
+    enumerate_connected_upto(6, (members[bound],))
+    assert len(harness._FAMILY_LEVELS) == bound
+    assert canonical_form(members[1]) not in set().union(*harness._FAMILY_LEVELS)
+    enumerate_connected_upto(6, (members[0],))
+    assert len(built) == bound + 1
+    enumerate_connected_upto(6, (members[1],))
+    assert len(built) == bound + 2
+
+
+def test_family_memo_is_safe_across_threads(monkeypatch):
+    # six threads, more than the cores, ask for one family's levels in six
+    # orders from an empty memo, with a short switch interval; an entry
+    # extended twice at once would hold a level twice
+    from pocfvs import harness
+
+    family = (claw(),)
+    expected = {n: enumerate_connected_upto(n, family) for n in range(2, 8)}
+    orders = [[2, 5, 3, 7, 6, 4][k:] + [2, 5, 3, 7, 6, 4][:k] for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
+            results = []
+
+            def ask(order):
+                for n in order:
+                    results.append((n, enumerate_connected_upto(n, family)))
+
+            threads = [threading.Thread(target=ask, args=(order,)) for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 36
+            assert all(levels == expected[n] for n, levels in results)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_enumeration_and_canonical_keys_match_the_networkx_atlas():

@@ -131,6 +131,7 @@ MUTANTS = {
         'if len(unsigned) > 1 and unsigned[0] == "0":',
         "if False:",
     ),
+    "spec-signed-zero": ("generators.py", 'if digits == "-0":', "if False:"),
     "spec-param-empty-field": ("generators.py", r"(?:,-?\d+)*", r"(?:,-?\d*)*"),
     "spec-unicode-digits": ("generators.py", "re.IGNORECASE | re.ASCII", "re.IGNORECASE"),
     "usage-echo-bare": (
@@ -193,6 +194,29 @@ MUTANTS = {
         "if not through(g, n - 1)",
     ),
     "record-memo-guard": ("harness.py", "_guard(g, limit)", "pass"),
+    # a malformed limit must be refused even when no graph reaches a solver
+    "record-limit-in-loop": (
+        "harness.py",
+        "limit = _resolved_limit(limit)\n    for g in graphs:\n",
+        "for g in graphs:\n        limit = _resolved_limit(limit)\n",
+    ),
+    "family-memo-first-member": (
+        "harness.py",
+        "key = frozenset(map(canonical_form, family))",
+        "key = canonical_form(family[0])",
+    ),
+    "family-memo-labelled-key": (
+        "harness.py",
+        "key = frozenset(map(canonical_form, family))",
+        "key = frozenset(family)",
+    ),
+    "family-memo-shared-lists": (
+        "harness.py",
+        "return [list(level) for level in levels[:n_max]]",
+        "return levels[:n_max]",
+    ),
+    # two threads extending one entry at once would append a level twice
+    "family-memo-unlocked": ("harness.py", "with _FAMILY_LOCK:", "if True:"),
     "record-memo-relabelled": ("harness.py", "if code is not None:", "if True:"),
     "upto-order-check": ("harness.py", "if n_max < 1:", "if n_max < 0:"),
     "report-json-materialised": (
