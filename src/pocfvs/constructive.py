@@ -183,8 +183,9 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
         raise InvalidInputError(f"the isolated-vertex count must be >= 0, got {s_param}")
     if not g.is_connected():
         raise InvalidInputError("connectification needs a connected graph")
-    pattern = path(5) + s_param * path(1)
-    if not is_free(g, [pattern]):
+    # every copy of P_5 + s*P_1 holds a P_5, so a P_5-free input needs no second search
+    p5_hit = find_induced_embedding(path(5), g)
+    if p5_hit is not None and not is_free(g, [path(5) + s_param * path(1)]):
         raise InvalidInputError(
             f"input contains an induced P_5 + {s_param}*P_1; precondition violated"
         )
@@ -195,7 +196,6 @@ def connectify_p5sp1(g: Graph, s_param: int) -> tuple[frozenset[int], ProcedureT
     fvs_res = min_fvs(g)
     f = g.vertex_mask(fvs_res.witness)
     trace.record("minimum-fvs", seed=f)
-    p5_hit = find_induced_embedding(path(5), g)
     if p5_hit is None:
         dom = _smallest_clique_or_p3_dominating(g)
         if dom is None:

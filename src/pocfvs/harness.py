@@ -32,17 +32,16 @@ the last vertex. That keeps exactly the representatives a growth
 restricted to free graphs would find.
 
 The filtered levels of each forbidden family are kept too, for the lifetime
-of the process, so a family asked about again is not filtered again.
-Freeness is isomorphism-invariant, and a member larger than a graph has no
-copy in it, so an entry is keyed by the set of canonical forms of the
-members that fit in the levels asked for: two calls with one key keep the
-same graphs in each level either asks for. So relabelled, reordered and
-repeated members share one entry, and so do members too large for any
-level. The first caller's members run the filter, and a later call with
-more levels extends the entry from its top level. Each call returns new
-lists. The memo holds the 32 most recently used families. An entry holds
-references into the level cache, at most its 12,113 graphs; the largest the
-verify battery makes, 2P_3-free with n <= 8, holds 11,420.
+of the process. Freeness is isomorphism-invariant, and a member larger than
+a graph has no copy in it, so a family is keyed by the canonical forms of
+its members that fit in the levels asked for, and those forms run the
+filter: relabelled, reordered, repeated and too-large members share a key.
+One ``lru_cache`` entry holds a key's levels 1..n as tuples and is built
+from its entry for n - 1, so more levels filter only the new ones. No entry
+changes once built, so no lock is needed: a race at worst builds one equal
+entry twice. Each call copies the levels into new lists. The cache keeps
+256 entries, 32 families at n <= 8; the largest the verify battery makes,
+2P_3-free with n <= 8, refers to 11,420 level graphs.
 
 ``evaluate_graphs`` also keeps each level representative's record for the
 lifetime of the process, so the repeated and overlapping ``max_poc`` calls
@@ -71,10 +70,9 @@ and the traced peak falls from 11.8 to 3.7 times the text's length.
 from __future__ import annotations
 
 import json
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 from . import graph6
@@ -90,11 +88,6 @@ MAX_ENUMERATION_ORDER = 8
 
 # order -> {representative: its canonical code}, in level order
 _LEVEL_CACHE: dict[int, dict[Graph, int]] = {}
-# canonical forms of a family's fitting members -> (its filter through the
-# last vertex, its filtered levels 1..k), least recently used first
-_FAMILY_LEVELS: dict[frozenset[Graph], tuple[Callable, list[list[Graph]]]] = {}
-_FAMILY_BOUND = 32
-_FAMILY_LOCK = threading.Lock()
 # level representative -> its evaluate_graphs record
 _RECORDS: dict[Graph, GraphRecord] = {}
 # witness graph -> its (fvs, cfvs), see unboundedness_witnesses
@@ -157,12 +150,9 @@ def _level(n: int) -> dict[Graph, int]:
 def _free_levels(n_max: int, forbidden) -> list[list[Graph]]:
     """Levels 1..``n_max`` of :func:`enumerate_connected` avoiding ``forbidden``.
 
-    Each level is filtered from the one below it, as the module docstring
-    explains: a level-n representative without vertex n - 1 has exactly
-    its parent's masks. A member larger than ``n_max`` fits in no level
-    and is dropped. The filtered levels are kept in ``_FAMILY_LEVELS``
-    under the canonical forms of the members that fit, and extended from
-    the top level kept; each call returns new lists.
+    A member larger than ``n_max`` fits in no level and is dropped. The
+    levels of the members that fit come from :func:`_family_levels`, keyed
+    by their canonical forms; each call returns new lists.
     """
     if n_max > MAX_ENUMERATION_ORDER:
         raise ResourceLimitError(f"internal enumeration stops at {MAX_ENUMERATION_ORDER}")
@@ -170,26 +160,30 @@ def _free_levels(n_max: int, forbidden) -> list[list[Graph]]:
     if not family:
         return [list(_level(n)) for n in range(1, n_max + 1)]
     key = frozenset(map(canonical_form, family))
-    with _FAMILY_LOCK:  # an entry grows in place, so one caller at a time
-        entry = _FAMILY_LEVELS.pop(key, None)
-        if entry is None:
-            free = free_filter(family)
-            entry = (_copies_through(family), [[g for g in _level(1) if free(g)]])
-        _FAMILY_LEVELS[key] = entry  # now the most recent
-        if len(_FAMILY_LEVELS) > _FAMILY_BOUND:
-            del _FAMILY_LEVELS[next(iter(_FAMILY_LEVELS))]
-        through, levels = entry
-        for n in range(len(levels) + 1, n_max + 1):
-            kept = {g._masks for g in levels[-1]}
-            low = (1 << n - 1) - 1
-            levels.append(
-                [
-                    g
-                    for g in _level(n)
-                    if tuple(m & low for m in g._masks[:-1]) in kept and not through(g, n - 1)
-                ]
-            )
-        return [list(level) for level in levels[:n_max]]
+    return [list(level) for level in _family_levels(key, n_max)]
+
+
+@lru_cache(maxsize=256)
+def _family_levels(family: frozenset[Graph], n: int) -> tuple[tuple[Graph, ...], ...]:
+    """Levels 1..``n`` avoiding ``family``, level ``n`` filtered from the entry for ``n - 1``.
+
+    As the module docstring explains, a level-n representative without
+    vertex n - 1 has exactly its parent's masks, so it is kept iff its
+    parent was and no member has a copy through that vertex.
+    """
+    if n == 1:
+        free = free_filter(family)
+        return (tuple(g for g in _level(1) if free(g)),)
+    below = _family_levels(family, n - 1)
+    kept = {g._masks for g in below[-1]}
+    through = _copies_through(family)
+    low = (1 << n - 1) - 1
+    level = (
+        g
+        for g in _level(n)
+        if tuple(m & low for m in g._masks[:-1]) in kept and not through(g, n - 1)
+    )
+    return (*below, tuple(level))
 
 
 def _orbit_minima(n: int, perms) -> list[int]:

@@ -77,6 +77,8 @@ def test_p5sp1_examples():
     result, _ = connectify_p5sp1(cycle(4), 0)
     assert is_cfvs(cycle(4), result)
     assert len(result) <= 4
+    # a P_5-free input meets the precondition at every s, and no pattern is built
+    assert connectify_p5sp1(cycle(4), 1000)[0] == result
 
 
 def test_p5sp1_with_isolated_budget():
@@ -110,6 +112,8 @@ def test_p5sp1_exhaustive_with_one_isolated():
 def test_p5sp1_errors():
     with pytest.raises(InvalidInputError):
         connectify_p5sp1(path(6), 0)  # contains an induced P_5
+    with pytest.raises(InvalidInputError, match=r"P_5 \+ 1\*P_1"):
+        connectify_p5sp1(path(7), 1)  # acyclic, and holds a P_5 + P_1; C_7 holds none
     with pytest.raises(InvalidInputError):
         connectify_p5sp1(path(2) + path(2), 0)
     with pytest.raises(InvalidInputError):

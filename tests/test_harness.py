@@ -54,6 +54,17 @@ from _oracles import (
 )
 
 
+@pytest.fixture
+def cold_families():
+    """An empty family memo, before and after the test; call it to empty the memo again."""
+    from pocfvs import harness
+
+    clear = harness._family_levels.cache_clear
+    clear()
+    yield clear
+    clear()
+
+
 def test_enumeration_counts_naive_crosscheck_small():
     # independent route: all labeled graphs, connectivity by BFS, classes
     # by permutation isomorphism
@@ -95,13 +106,12 @@ def test_enumeration_unique_and_connected():
         seen.add(key)
 
 
-def test_enumerated_levels_are_fresh_lists(monkeypatch):
+def test_enumerated_levels_are_fresh_lists(monkeypatch, cold_families):
     # a caller that mutates a returned level, filtered or not, must not
     # change the level cache or the family memo
     from pocfvs import harness
 
     monkeypatch.setattr(harness, "_LEVEL_CACHE", {})
-    monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
     level = enumerate_connected(3)
     before = list(level)
     level.clear()
@@ -119,7 +129,7 @@ def test_enumerated_levels_are_fresh_lists(monkeypatch):
     assert len(enumerate_connected(5, family)) == 14
 
 
-def test_enumeration_ignores_family_labels_and_order(monkeypatch):
+def test_enumeration_ignores_family_labels_and_order(monkeypatch, cold_families):
     # freeness is isomorphism-invariant, so a relabelled or reordered
     # family yields the same levels; each family gets a cold cache and an
     # empty family memo here, so no family reads another's entry
@@ -127,7 +137,7 @@ def test_enumeration_ignores_family_labels_and_order(monkeypatch):
 
     def levels(family):
         monkeypatch.setattr(harness, "_LEVEL_CACHE", {})
-        monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
+        cold_families()
         return [enumerate_connected(n, family) for n in range(1, 7)]
 
     c4 = cycle(4)
@@ -165,9 +175,7 @@ def _level_digest(family, n_max):
     return h.hexdigest()
 
 
-def test_enumeration_levels_are_byte_stable(monkeypatch):
-    from pocfvs import harness
-
+def test_enumeration_levels_are_byte_stable(cold_families):
     families = {
         "unfiltered": ((), 8),
         "P3": ((path(3),), 8),
@@ -180,7 +188,7 @@ def test_enumeration_levels_are_byte_stable(monkeypatch):
     }
     digests = {}
     for name, (family, n_max) in families.items():
-        monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})  # each family runs cold
+        cold_families()  # each family runs cold
         digests[name] = _level_digest(family, n_max)
     assert digests == LEVEL_DIGESTS
 
@@ -192,9 +200,7 @@ def test_enumeration_levels_are_byte_stable(monkeypatch):
 FAMILY_LEVELS_DIGEST = "7e940dc7f6297920361fe268263ffa56bbc76a6a1578e05d490bc6b5575ba572"
 
 
-def test_family_levels_are_byte_stable(monkeypatch):
-    from pocfvs import harness
-
+def test_family_levels_are_byte_stable(cold_families):
     families = [(h,) for _, h in oracle_catalog()]
     for text in ["kbip:4,4", "3C3", "kbip:1,6", "P4;kbip:4,4", "claw;3C3"]:
         families.append(tuple(graph_from_text(s) for s in text.split(";")))
@@ -206,14 +212,14 @@ def test_family_levels_are_byte_stable(monkeypatch):
     h = hashlib.sha256()
     for family in families:
         # an empty memo, so a relabelled family is filtered, not read from its original's entry
-        monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
+        cold_families()
         h.update(_level_digest(family, 7).encode())
         h.update(json.dumps([g.edges() for g in enumerate_connected_upto(7, family)]).encode())
     assert h.hexdigest() == FAMILY_LEVELS_DIGEST
 
 
 def _counting_filters(monkeypatch):
-    """An empty family memo, and a list that grows by one for each family filtered afresh."""
+    """A list that grows by one for each level above 1 that the family memo filters afresh."""
     from pocfvs import harness
 
     built = []
@@ -222,18 +228,16 @@ def _counting_filters(monkeypatch):
         built.append(family)
         return iso._copies_through(family)
 
-    monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
     monkeypatch.setattr(harness, "_copies_through", counting)
     return built
 
 
-def test_family_memo_shares_one_entry_per_class(monkeypatch):
-    from pocfvs import harness
-
+def test_family_memo_shares_one_entry_per_class(monkeypatch, cold_families):
     built = _counting_filters(monkeypatch)
     p4, c4 = path(4), cycle(4)
     first = enumerate_connected_upto(6, (p4, c4))
-    assert len(built) == 1
+    # levels 2..6 are each filtered once, by the members' canonical forms
+    assert built == [frozenset({canonical_form(p4), canonical_form(c4)})] * 5
     # relabelled, reordered and repeated members, and members too large for
     # any level asked for, all read the one entry
     for family in [
@@ -242,19 +246,19 @@ def test_family_memo_shares_one_entry_per_class(monkeypatch):
         (p4, cycle(7), c4, path(8)),
     ]:
         assert enumerate_connected_upto(6, family) == first
-    assert len(built) == 1
-    assert len(harness._FAMILY_LEVELS) == 1
+    assert len(built) == 5
     # the entry is keyed by every member that fits, not by the first alone
     p4_free = enumerate_connected_upto(6, (p4,))
-    assert len(built) == 2 and p4_free != first
-    # more levels extend the entry from its top; C7 fits level 7, so it is a new family
+    assert len(built) == 10 and p4_free != first
+    # level 7 is filtered from the entry for 6, so it is the one new build
     assert enumerate_connected_upto(7, (c4, p4))[: len(first)] == first
-    assert len(built) == 2
+    assert len(built) == 11
+    # C7 fits level 7, so it makes a new family
     enumerate_connected_upto(7, (p4, c4, cycle(7)))
-    assert len(built) == 3
+    assert len(built) == 17
 
 
-def test_warm_family_levels_equal_cold(monkeypatch):
+def test_warm_family_levels_equal_cold(cold_families):
     # the benchmark's query families at n <= 6 and the pinned families at
     # n <= 7, asked twice each, then once more each from an empty memo
     from pocfvs import harness
@@ -266,41 +270,49 @@ def test_warm_family_levels_equal_cold(monkeypatch):
     asks = [(6, family) for family in families]
     pinned = ["P3", "P5", "2P3", "P4", "P5+P1", "claw", "P4;C4"]
     asks += [(7, tuple(map(graph_from_text, text.split(";")))) for text in pinned]
-    monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
     warm = [[harness._free_levels(n_max, f) for n_max, f in asks] for _ in range(2)]
     assert warm[0] == warm[1]
     for (n_max, family), levels in zip(asks, warm[1]):
-        monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
+        cold_families()
         assert harness._free_levels(n_max, family) == levels
         # a warm call that asks for fewer levels gets the bottom of the entry
         assert harness._free_levels(n_max - 1, family) == levels[:-1]
 
 
-def test_family_memo_drops_the_least_recent_past_its_bound(monkeypatch):
+def test_family_memo_drops_the_least_recent_past_its_bound(monkeypatch, cold_families):
+    # the bound counts (family, order) entries: a family asked at n <= 4
+    # takes four, and levels 2..4 are filtered afresh
     from pocfvs import harness
 
     built = _counting_filters(monkeypatch)
-    bound = harness._FAMILY_BOUND
-    members = enumerate_connected(6)[: bound + 1]
-    for h in members[:bound]:
-        enumerate_connected_upto(6, (h,))
-    enumerate_connected_upto(6, (members[0],))  # now the most recent
-    assert len(built) == bound
-    enumerate_connected_upto(6, (members[bound],))
-    assert len(harness._FAMILY_LEVELS) == bound
-    assert canonical_form(members[1]) not in set().union(*harness._FAMILY_LEVELS)
-    enumerate_connected_upto(6, (members[0],))
-    assert len(built) == bound + 1
-    enumerate_connected_upto(6, (members[1],))
-    assert len(built) == bound + 2
+    bound = harness._family_levels.cache_parameters()["maxsize"]
+    graphs = enumerate_connected_upto(4)[1:]
+    families = [f for k in (1, 2, 3) for f in combinations(graphs, k)][: bound // 4 + 1]
+    for family in families[:-1]:
+        enumerate_connected_upto(4, family)
+    full = 3 * (bound // 4)
+    assert len(built) == full
+    assert harness._family_levels.cache_info().currsize == bound
+    enumerate_connected_upto(4, families[0])  # a hit: that entry is now the most recent
+    enumerate_connected_upto(4, families[-1])
+    assert harness._family_levels.cache_info().currsize == bound
+    assert len(built) == full + 3
+    # the four entries dropped were the least recent: the first family's
+    # levels 1..3 and the second family's level 1
+    enumerate_connected_upto(4, families[0])
+    assert len(built) == full + 3
+    enumerate_connected_upto(3, families[0])  # drops the second family's levels 2..4
+    assert len(built) == full + 5
+    enumerate_connected_upto(4, families[1])
+    assert len(built) == full + 8
+    enumerate_connected_upto(4, families[-2])  # a recent family is still held
+    assert len(built) == full + 8
 
 
-def test_family_memo_is_safe_across_threads(monkeypatch):
+def test_family_memo_is_safe_across_threads(cold_families):
     # six threads, more than the cores, ask for one family's levels in six
     # orders from an empty memo, with a short switch interval; an entry
     # extended twice at once would hold a level twice
-    from pocfvs import harness
-
     family = (claw(),)
     expected = {n: enumerate_connected_upto(n, family) for n in range(2, 8)}
     orders = [[2, 5, 3, 7, 6, 4][k:] + [2, 5, 3, 7, 6, 4][:k] for k in range(6)]
@@ -308,7 +320,7 @@ def test_family_memo_is_safe_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            monkeypatch.setattr(harness, "_FAMILY_LEVELS", {})
+            cold_families()
             results = []
 
             def ask(order):
