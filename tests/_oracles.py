@@ -475,11 +475,11 @@ def normalize_min_fvs(g, limit: int | None = None):
     )
 
 
-def orbit_minima_by_closure(n: int, perms) -> list[int]:
-    """The nonempty masks on ``n`` vertices least in their orbit under ``perms``.
+def orbit_roots_by_closure(n: int, perms) -> list[int]:
+    """Each mask on ``n`` vertices mapped to the least mask of its orbit under ``perms``.
 
     The generators are closed into the whole group, identity included, and
-    a mask is kept when no element of the group maps it below itself.
+    each mask's least image under an element of the group is its root.
     """
     group = {tuple(range(n))}
     frontier = list(group)
@@ -494,4 +494,4 @@ def orbit_minima_by_closure(n: int, perms) -> list[int]:
     def image(g, s):
         return sum(1 << g[v] for v in range(n) if s >> v & 1)
 
-    return [s for s in range(1, 1 << n) if all(image(g, s) >= s for g in group)]
+    return [min(image(g, s) for g in group) for s in range(1 << n)]

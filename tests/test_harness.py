@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -33,7 +34,7 @@ from pocfvs.harness import (
     enumerate_connected,
     enumerate_connected_upto,
     evaluate_graphs,
-    _orbit_minima,
+    _orbit_roots,
     max_poc,
     tetrachotomy_classify,
     unboundedness_witnesses,
@@ -47,7 +48,7 @@ from _oracles import (
     edge_set,
     enumerate_all_graphs,
     is_cycle_graph,
-    orbit_minima_by_closure,
+    orbit_roots_by_closure,
     perm_isomorphic,
     reachable,
     tetrachotomy_by_hosts,
@@ -433,8 +434,69 @@ def test_level_growth_memo_counts(monkeypatch):
     monkeypatch.setattr(harness, "_LEVEL_CACHE", {n: harness._LEVEL_CACHE[n] for n in range(1, 7)})
     monkeypatch.setattr(harness, "_least_code", counting)
     enumerate_connected(8)
-    assert counts == {7: [640, 363], 8: [7849, 3864]}
+    assert counts == {7: [640, 363], 8: [1486, 3081]}
     assert memos[7] is not memos[8]
+
+
+def _recording_growth(monkeypatch, table=True):
+    """The masks that a fresh growth of level 8 hands ``_least_code``.
+
+    Levels 1..6 come from the cache, and level 7 is grown again, so that
+    its growth keeps the table level 8 reads. With ``table`` false, level 7
+    comes from the cache too and there is no table, as when a caller has
+    replaced the level cache, so level 8 must search every candidate.
+    """
+    from pocfvs import harness, iso
+
+    enumerate_connected(7)
+    searched = []
+
+    def recording(masks, memo):
+        if len(masks) == 8:
+            searched.append(masks)
+        return iso._least_code(masks, memo)
+
+    kept = range(1, 7) if table else range(1, 8)
+    monkeypatch.setattr(harness, "_LEVEL_CACHE", {n: harness._LEVEL_CACHE[n] for n in kept})
+    monkeypatch.setattr(harness, "_GROWN_CODES", {})
+    monkeypatch.setattr(harness, "_least_code", recording)
+    enumerate_connected(8)
+    return searched
+
+
+def test_top_level_growth_skips_only_classes_of_earlier_parents(monkeypatch):
+    # a candidate is skipped only when its class was generated before it,
+    # by a parent earlier in level 7; every candidate of a full growth,
+    # each level-7 graph in order grown by each mask that is its own root
+    from pocfvs import harness
+
+    searched = _recording_growth(monkeypatch)
+    assert _level_digest((), 8) == LEVEL_DIGESTS["unfiltered"]
+    parents = {g._masks: p for p, g in enumerate(enumerate_connected(7))}
+    full = []
+    for masks in parents:
+        roots = _orbit_roots(7, _search(masks)[2])
+        for extra in range(1, 1 << 7):
+            if roots[extra] == extra:
+                grown = (m | 1 << 7 if extra >> v & 1 else m for v, m in enumerate(masks))
+                full.append((*grown, extra))
+    skipped = set(full).difference(searched)
+    assert (len(full), len(searched), len(skipped)) == (67141, 20746, 46395)
+    assert searched == [c for c in full if c not in skipped]
+
+    def parent(masks):
+        return parents[tuple(m & 127 for m in masks[:-1])]
+
+    # each level-8 code -> the parent of its representative
+    first = {code: parent(h._masks) for h, code in harness._LEVEL_CACHE[8].items()}
+    for masks in skipped:
+        assert first[_search(masks)[0]] < parent(masks)
+
+
+def test_top_level_growth_without_a_table_grows_in_full(monkeypatch):
+    searched = _recording_growth(monkeypatch, table=False)
+    assert len(searched) == 67141
+    assert _level_digest((), 8) == LEVEL_DIGESTS["unfiltered"]
 
 
 def test_max_poc_takes_level_forms_from_the_cache(monkeypatch):
@@ -505,13 +567,14 @@ def test_record_memo_hits_still_apply_the_limit(monkeypatch):
 
 
 def test_orbit_minima_match_the_group_closure():
-    # the growth extends each parent by these masks, so a wrong minimum
-    # drops or repeats a class; n <= 7 holds every parent of level 8
-    assert _orbit_minima(3, []) == orbit_minima_by_closure(3, []) == list(range(1, 8))
+    # the growth extends each parent by the masks that are their own root,
+    # so a wrong root drops or repeats a class, and the top level reads the
+    # root of any mask; n <= 7 holds every parent of level 8
+    assert _orbit_roots(3, []) == orbit_roots_by_closure(3, []) == list(range(8))
     for n in range(1, 8):
         for g in enumerate_connected(n):
             perms = _search(g._masks)[2]
-            assert _orbit_minima(n, perms) == orbit_minima_by_closure(n, perms), g.edges()
+            assert _orbit_roots(n, perms) == orbit_roots_by_closure(n, perms), g.edges()
 
 
 def test_enumeration_limits():
@@ -529,6 +592,26 @@ def test_enumeration_limits():
         EnumerationSpec(n_max=9)
     with pytest.raises(InvalidInputError):
         EnumerationSpec(n_max=0)
+
+
+@pytest.mark.parametrize(
+    "entry, what",
+    [
+        (enumerate_connected, "order"),
+        (enumerate_connected_upto, "order"),
+        (lambda bad: EnumerationSpec(n_max=bad), "n_max"),
+        (lambda bad: unboundedness_witnesses(claw(), bad), "witness count"),
+        (gprime_experiment, "t_max"),
+    ],
+    ids=["enumerate_connected", "enumerate_connected_upto", "EnumerationSpec", "witnesses", "gprime"],
+)
+def test_entry_points_refuse_a_non_integer_count(entry, what):
+    # as Graph(n) does: a float, even a whole one, a string or None is an
+    # input error, not a TypeError, and claw's 1.5 witnesses are not two
+    for bad in (1.5, 3.0, "3", None):
+        message = f"^{what} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            entry(bad)
 
 
 def test_enumerate_all_graphs_counts():

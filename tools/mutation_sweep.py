@@ -225,7 +225,23 @@ MUTANTS = {
         "return list(_family_levels(key, n_max))",
     ),
     "record-memo-relabelled": ("harness.py", "if code is not None:", "if True:"),
-    "upto-order-check": ("harness.py", "if n_max < 1:", "if n_max < 0:"),
+    "upto-order-check": (
+        "harness.py",
+        '_check_count(n_max, "order", 1)',
+        '_check_count(n_max, "order", 0)',
+    ),
+    # the top growth skips a candidate only when c - u is connected and its
+    # class comes from a parent strictly earlier in the level below
+    "growth-skip-inclusive": (
+        "harness.py",
+        "if row and extra & low and row[extra & low] < p:",
+        "if row and extra & low and row[extra & low] <= p:",
+    ),
+    "growth-skip-disconnected": (
+        "harness.py",
+        "if row and extra & low and row[extra & low] < p:",
+        "if row and row[extra & low] < p:",
+    ),
     "report-json-materialised": (
         "harness.py",
         'return "".join(map("".join, iter(lambda: [*islice(chunks, 4096)], [])))',
